@@ -13,7 +13,6 @@ from .graphs import (
     divisor_add,
     divisor_deg,
     divisor_sub,
-    is_effective,
     orientation_is_acyclic,
     total_orientations,
     zero_divisor,

@@ -22,7 +22,7 @@ from .graphs import (
     induced_connected,
     zero_divisor,
 )
-from .divisors import acyclic_orientations_unique_source, q_reduce
+from .divisors import q_reduce
 
 
 class FlagError(ValueError):
@@ -427,8 +427,20 @@ def _merge_target(g, parts, arcs, a, b, basis, realign):
 
 
 def _realigned_arcs(g, new_parts, qarcs, qnode):
-    """Replace the leftover orientation of the fused partition by the one whose
-    indegree divisor is E + 1 for the q-reduced form E of sum(indeg - 1)."""
+    """Replace the leftover orientation of the fused partition by the
+    unique-source acyclic orientation whose indegree divisor is E + 1, for
+    the q-reduced form E of sum(indeg - 1) on the quotient graph.
+
+    Dhar's burning order is a bijection between maximal q-reduced divisors and
+    unique-source acyclic orientations (Benson-Chakrabarty-Tetali, G-parking
+    functions, acyclic orientations and spanning trees, 2010): start the fire
+    at qnode, burn the smallest node whose burnt-edge count exceeds E there,
+    and orient every edge from its earlier-burnt end.
+
+    FlagError is raised if the fire stalls or a node burns with a count other
+    than E + 1.  Past that check every node off qnode has indegree E + 1, and
+    since both divisors sum to the edge count, so does qnode.  An acyclic
+    orientation is determined by its indegrees, so this is the only one."""
     k = len(new_parts)
     mult = [[0] * k for _ in range(k)]
     for x in range(k):
@@ -440,11 +452,19 @@ def _realigned_arcs(g, new_parts, qarcs, qnode):
     for x, y in qarcs:
         indeg[y] += mult[x][y]
     e = q_reduce(h, qnode, tuple(c - 1 for c in indeg))
-    want = tuple(c + 1 for c in e)
-    matches = [o for o in acyclic_orientations_unique_source(h, qnode)
-               if o.indegree_divisor(h) == want]
-    assert len(matches) == 1, (e, want, matches)
-    return set(matches[0].arcs())
+    rank = {qnode: 0}
+    count = list(mult[qnode])       # edges from burnt nodes
+    while len(rank) < k:
+        x = next((y for y in range(k) if y not in rank and count[y] > e[y]), None)
+        if x is None:
+            raise FlagError(f"Dhar's fire stalls on E={e}")
+        if count[x] != e[x] + 1:
+            raise FlagError(f"node {x} burns with {count[x]} edges, E={e}")
+        rank[x] = len(rank)
+        for y in range(k):
+            count[y] += mult[x][y]
+    return {(x, y) if rank[x] < rank[y] else (y, x)
+            for x in range(k) for y in range(x + 1, k) if mult[x][y]}
 
 
 def merge_records(g: PointedGraph, uc: ConnectedFlag):
@@ -496,14 +516,8 @@ def record_sign(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord) -> int:
     ai, aj = parts[rec.i - 1], parts[rec.j - 1]
     rest = [p for idx, p in enumerate(parts) if idx not in (rec.i - 1, rec.j - 1)]
     delta_w = rec.flag.parts()
-    sign = (_perm_parity(parts, [ai, aj] + rest)
+    return (_perm_parity(parts, [ai, aj] + rest)
             * _perm_parity(delta_w, [ai | aj] + rest))
-    # the choice of ordering for the remaining parts cancels out
-    rest2 = sorted(rest, key=subset_key)
-    sign2 = (_perm_parity(parts, [ai, aj] + rest2)
-             * _perm_parity(delta_w, [ai | aj] + rest2))
-    assert sign == sign2
-    return sign
 
 
 def record_theta(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord):

@@ -3,7 +3,7 @@ the ideal and of its initial ideal, Betti tables, and self-verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .divisors import PicClass, pic_class, q_reduce, hilbert_function
 from .fields import PrimeField
@@ -73,10 +73,15 @@ class Binomial:
         return {self.lead: field.one, self.trail: field.neg(field.one)}
 
 
+def _based_at(g: PointedGraph, q):
+    """g with base vertex q: the term order and the merges read g.q."""
+    return g if q is None or q == g.q else replace(g, q=q)
+
+
 def groebner_basis(g: PointedGraph, q=None):
     """One binomial per S_2 flag: x^{D(U2-U1, U1)} - x^{D(U1, U2-U1)}."""
-    if q is None:
-        q = g.q
+    g = _based_at(g, q)
+    q = g.q
     order = bfs_term_order(g)
     out = []
     for uc in enumerate_minimal_flags(g, q, 2):
@@ -144,8 +149,8 @@ class FreeResolution:
 
 
 def build_resolution(g: PointedGraph, q=None, variant="binomial", field=None) -> FreeResolution:
-    if q is None:
-        q = g.q
+    g = _based_at(g, q)
+    q = g.q
     if field is None:
         field = PrimeField()
     if variant not in ("binomial", "monomial"):

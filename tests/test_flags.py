@@ -1,9 +1,11 @@
 import pytest
 
 from conftest import c4, complete, cycle, path
-from toppling.graphs import FORWARD, UNORIENTED, build_graph
+from toppling.divisors import acyclic_orientations_unique_source, q_reduce
+from toppling.graphs import FORWARD, UNORIENTED, PointedGraph, build_graph
 from toppling.flags import (
     ConnectedFlag,
+    FlagError,
     LengthMismatch,
     MissingQ,
     NotAFlag,
@@ -23,12 +25,20 @@ from toppling.flags import (
     flags_equivalent,
     incidence_sign,
     kappa,
+    merge_records,
     merge_sets,
     pullback_flag,
     pushforward_divisor,
+    record_sign,
     reversal_orientation,
+    subset_key,
     theta,
     validate_flag,
+    _fuse,
+    _oj_arcs,
+    _perm_parity,
+    _quotient_arcs,
+    _realigned_arcs,
 )
 
 
@@ -323,3 +333,77 @@ class TestMerges:
         u2 = make([fs(1), fs(1, 2), fs(1, 2, 4), fs(1, 2, 3, 4)])
         with pytest.raises(NotMergedFrom):
             theta(g, u2, make([fs(1), fs(1, 3), fs(1, 2, 3, 4)]))
+
+
+def corpus_and_families(graph_corpus):
+    """Every corpus graph at every base vertex, then C6 and K5."""
+    for n, edges in graph_corpus:
+        for q in range(n):
+            yield build_graph(n, edges, q)
+    yield cycle(6)
+    yield complete(5)
+
+
+def records_of(g):
+    """(uc, rec) for every merge record of every S_k flag, k >= 3."""
+    for k in range(3, g.n + 1):
+        for uc in enumerate_minimal_flags(g, g.q, k):
+            for rec in merge_records(g, uc):
+                yield uc, rec
+
+
+def scanned_arcs(g, new_parts, qarcs, qnode):
+    """The realignment by brute force: scan every unique-source acyclic
+    orientation of the quotient graph for indegree divisor E + 1."""
+    k = len(new_parts)
+    mult = tuple(tuple(sum(g.mult[u][v] for u in new_parts[x] for v in new_parts[y])
+                       if x != y else 0 for y in range(k)) for x in range(k))
+    h = PointedGraph(k, mult, qnode)
+    indeg = [0] * k
+    for x, y in qarcs:
+        indeg[y] += mult[x][y]
+    want = tuple(c + 1 for c in q_reduce(h, qnode, tuple(c - 1 for c in indeg)))
+    matches = [o for o in acyclic_orientations_unique_source(h, qnode)
+               if o.indegree_divisor(h) == want]
+    assert len(matches) == 1
+    return set(matches[0].arcs())
+
+
+class TestRealign:
+    def test_burning_order_matches_scan(self, graph_corpus):
+        checked = 0
+        for g in corpus_and_families(graph_corpus):
+            for uc, rec in records_of(g):
+                if not rec.from_reversal:
+                    continue
+                a, b = rec.i - 1, rec.j - 1
+                parts = uc.parts()
+                new_parts, old_to_new = _fuse(parts, a, b)
+                qarcs = _quotient_arcs(_oj_arcs(g, parts, b + 1), old_to_new,
+                                       frozenset((a, b)))
+                qnode = old_to_new[0]
+                assert _realigned_arcs(g, new_parts, qarcs, qnode) == \
+                    scanned_arcs(g, new_parts, qarcs, qnode)
+                checked += 1
+        assert checked > 1000
+
+    def test_cyclic_quotient_raises(self):
+        # arcs 0->1->2->0: E = 0 and the fire reaches node 2 with 2 burnt
+        # edges where E + 1 = 1
+        g = complete(3)
+        parts = [fs(1), fs(2), fs(3)]
+        with pytest.raises(FlagError):
+            _realigned_arcs(g, parts, {(0, 1), (1, 2), (2, 0)}, 0)
+
+
+class TestSign:
+    def test_independent_of_rest_order(self, graph_corpus):
+        for g in corpus_and_families(graph_corpus):
+            for uc, rec in records_of(g):
+                parts = uc.parts()
+                ai, aj = parts[rec.i - 1], parts[rec.j - 1]
+                rest = [p for p in parts if p not in (ai, aj)]
+                sign = record_sign(g, uc, rec)
+                for order in (sorted(rest, key=subset_key), rest[::-1]):
+                    assert sign == (_perm_parity(parts, [ai, aj] + order)
+                                    * _perm_parity(rec.flag.parts(), [ai | aj] + order))

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import c4, complete, cycle, path, theta
 from toppling.fields import get_field
-from toppling.graphs import bfs_term_order
+from toppling.graphs import bfs_term_order, build_graph
 from toppling.poly import poly_neg
 from toppling.resolution import (
     Binomial,
@@ -82,6 +82,15 @@ class TestBuchberger:
 
 
 class TestBuildResolution:
+    def test_q_argument_rebases(self, graph_corpus):
+        for n, edges in graph_corpus:
+            g0 = build_graph(n, edges, 0)
+            for q in range(n):
+                gq = build_graph(n, edges, q)
+                assert format_resolution(build_resolution(g0, q=q)) == \
+                    format_resolution(build_resolution(gq))
+                assert groebner_basis(g0, q) == groebner_basis(gq)
+
     def test_c4_ranks(self):
         res = build_resolution(c4())
         assert res.ranks() == [6, 8, 3]
