@@ -15,7 +15,6 @@ from .divisors import (
     acyclic_orientations_unique_source,
     linear_system,
     linearly_equivalent,
-    pic_class,
     q_reduce,
 )
 from .fields import get_field
@@ -35,6 +34,7 @@ from .graphs import (
 )
 from .oracle import (
     NotGroebner,
+    OracleError,
     brute_force_class_count,
     hochster_betti,
     minimalize,
@@ -112,7 +112,7 @@ def parse_graph_text(text) -> PointedGraph:
     return build_graph(n, edges, q)
 
 
-def parse_flag_literal(g: PointedGraph, q, text):
+def parse_flag_literal(g: PointedGraph, text):
     """`{1}<{1,2}<{1,2,3,4}` -> validated ConnectedFlag (1-based input)."""
     chain = []
     for piece in text.split("<"):
@@ -125,7 +125,7 @@ def parse_flag_literal(g: PointedGraph, q, text):
         except ValueError as exc:
             raise ParseError(f"bad set literal {piece!r}") from exc
         chain.append(frozenset(members))
-    return validate_flag(g, q, chain)
+    return validate_flag(g, chain)
 
 
 def parse_divisor(g: PointedGraph, text):
@@ -178,9 +178,7 @@ def emit_dot(g: PointedGraph, orientation):
 # verbs
 
 def _cmd_betti(g, args):
-    bt = betti_table(g)
-    # the two variants must agree; compute both when asked for a cross-check
-    return emit_betti(bt, args.grading)
+    return emit_betti(betti_table(g), args.grading)
 
 
 def _cmd_resolution(g, args):
@@ -199,7 +197,7 @@ def _cmd_groebner(g, args):
 
 
 def _cmd_flags(g, args):
-    basis = enumerate_minimal_flags(g, g.q, args.k)
+    basis = enumerate_minimal_flags(g, args.k)
     return "\n".join(uc.literal() for uc in basis) + "\n"
 
 
@@ -231,7 +229,7 @@ def _cmd_orientations(g, args):
 
 def _cmd_export_dot(g, args):
     if args.flag:
-        uc = parse_flag_literal(g, g.q, args.flag)
+        uc = parse_flag_literal(g, args.flag)
         return emit_dot(g, flag_orientation(g, uc))
     raise ParseError("export-dot needs --flag")
 
@@ -274,7 +272,7 @@ def _cmd_verify(g, args):
     if want("flags"):
         for k in range(1, g.n + 1):
             got = brute_force_class_count(g, g.q, k)
-            expect = 1 if k == 1 else len(enumerate_minimal_flags(g, g.q, k))
+            expect = 1 if k == 1 else len(enumerate_minimal_flags(g, k))
             if got != expect:
                 raise IdentityViolation(f"flag-class count mismatch at k={k}")
         lines.append("flags ok")
@@ -284,25 +282,31 @@ def _cmd_verify(g, args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 1) instead of exiting with 2,
+    the code kept for verification failures."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="toppling")
+    parser = _Parser(prog="toppling")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
         p.add_argument("--graph", required=True)
         p.add_argument("--q", type=int, default=None,
                        help="1-based override of the base vertex")
-        p.add_argument("--field", default="prime")
         p.add_argument("--output", default=None)
 
     p = sub.add_parser("betti")
     common(p)
     p.add_argument("--grading", choices=("Z", "Pic"), default="Z")
-    p.add_argument("--variant", choices=("binomial", "monomial"),
-                   default="binomial")
 
     p = sub.add_parser("resolution")
     common(p)
+    p.add_argument("--field", default="prime")
     p.add_argument("--variant", choices=("binomial", "monomial"),
                    default="binomial")
 
@@ -331,6 +335,7 @@ def build_parser():
 
     p = sub.add_parser("verify")
     common(p)
+    p.add_argument("--field", default="prime")
     p.add_argument("--oracle", default="all",
                    choices=("all", "complex", "hilbert", "schreyer",
                             "hochster", "flags"))
@@ -356,15 +361,15 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         g = parse_graph_file(args.graph)
         if args.q is not None:
             g = PointedGraph(g.n, g.mult, args.q - 1)
             if not 0 <= g.q < g.n:
                 raise ParseError(f"q={args.q} out of range")
         text = _DISPATCH[args.verb](g, args)
-    except (CompositionNonzero, UnitEntry, IdentityViolation, NotGroebner) as exc:
+    except (CompositionNonzero, UnitEntry, IdentityViolation, OracleError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except (ParseError, GraphError, FlagError, OSError,

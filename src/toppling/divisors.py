@@ -8,14 +8,11 @@ from dataclasses import dataclass
 
 from .graphs import (
     PointedGraph,
-    PartialOrientation,
     bfs_order,
-    divisor_add,
     divisor_deg,
     divisor_sub,
     orientation_is_acyclic,
     total_orientations,
-    zero_divisor,
 )
 
 
@@ -166,30 +163,26 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def acyclic_orientations_unique_source(g: PointedGraph, q=None):
-    """Total orientations with no directed cycle and q the unique source."""
-    if q is None:
-        q = g.q
+def acyclic_orientations_unique_source(g: PointedGraph):
+    """Total orientations with no directed cycle and g.q the unique source."""
     out = []
     for o in total_orientations(g):
         if not orientation_is_acyclic(o, g.n):
             continue
         indeg = o.indegree_divisor(g)
         sources = [v for v in range(g.n) if indeg[v] == 0]
-        if sources == [q]:
+        if sources == [g.q]:
             out.append(o)
     return out
 
 
-def maximal_reduced_divisors(g: PointedGraph, q=None):
+def maximal_reduced_divisors(g: PointedGraph):
     """sum_v (indeg(v) - 1)(v) over unique-source acyclic orientations.
 
-    House convention: value -1 at q."""
-    if q is None:
-        q = g.q
+    House convention: value -1 at g.q."""
     ones = (1,) * g.n
     return [divisor_sub(o.indegree_divisor(g), ones)
-            for o in acyclic_orientations_unique_source(g, q)]
+            for o in acyclic_orientations_unique_source(g)]
 
 
 def effective_reduced_off_q(g: PointedGraph, q):

@@ -13,9 +13,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def from_int(self, k):
-        return k % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -42,9 +39,6 @@ class RationalField:
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
-
-    def from_int(self, k):
-        return Fraction(k)
 
     def add(self, a, b):
         return a + b

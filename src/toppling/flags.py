@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import (
     BACKWARD,
@@ -18,7 +17,6 @@ from .graphs import (
     digraph_is_acyclic,
     divisor_add,
     divisor_max,
-    divisor_sub,
     induced_connected,
     zero_divisor,
 )
@@ -97,14 +95,17 @@ class ConnectedFlag:
         return tuple(out)
 
     def literal(self):
-        return " < ".join(
-            "{" + ",".join(str(v + 1) for v in sorted(s)) + "}" for s in self.chain)
+        return " < ".join(_literal(s) for s in self.chain)
 
 
-def validate_flag(g: PointedGraph, q, chain) -> ConnectedFlag:
+def _literal(s):
+    return "{" + ",".join(str(v + 1) for v in sorted(s)) + "}"
+
+
+def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
     chain = tuple(frozenset(s) for s in chain)
-    if not chain or q not in chain[0]:
-        raise MissingQ(f"q={q} not in the first set")
+    if not chain or g.q not in chain[0]:
+        raise MissingQ(f"q={g.q} not in the first set")
     for i in range(1, len(chain)):
         if not chain[i - 1] < chain[i]:
             raise NotIncreasing(f"chain not strictly increasing at index {i}")
@@ -112,10 +113,13 @@ def validate_flag(g: PointedGraph, q, chain) -> ConnectedFlag:
         raise LastNotV("last set is not V(G)")
     for i, s in enumerate(chain):
         if not induced_connected(g, s):
-            raise PrefixDisconnected(i + 1)
+            raise PrefixDisconnected(
+                f"U_{i + 1} = {_literal(s)} does not induce a connected subgraph")
     for i in range(1, len(chain)):
         if not induced_connected(g, chain[i] - chain[i - 1]):
-            raise PartDisconnected(i + 1)
+            raise PartDisconnected(
+                f"A_{i + 1} = {_literal(chain[i] - chain[i - 1])} does not induce"
+                " a connected subgraph")
     return ConnectedFlag(chain)
 
 
@@ -199,7 +203,7 @@ def flags_equivalent(g: PointedGraph, u: ConnectedFlag, v: ConnectedFlag) -> boo
 
 def reversal_orientation(g: PointedGraph, uc: ConnectedFlag, j) -> PartialOrientation:
     if not 0 <= j <= uc.k:
-        raise BadPartIndex(j)
+        raise BadPartIndex(f"reversal index j={j} outside 0..{uc.k}")
     parts = uc.parts()
     return _expand_arcs(g, parts, _oj_arcs(g, parts, j))
 
@@ -215,8 +219,9 @@ def _oj_arcs(g: PointedGraph, parts, j):
 # ---------------------------------------------------------------------------
 # enumeration of flags and minimal representatives
 
-@lru_cache(maxsize=None)
 def _connected_subsets(g: PointedGraph):
+    if "connected" in g._cache:
+        return g._cache["connected"]
     verts = list(range(g.n))
     out = []
     for r in range(1, g.n + 1):
@@ -224,13 +229,15 @@ def _connected_subsets(g: PointedGraph):
             s = frozenset(combo)
             if induced_connected(g, s):
                 out.append(s)
-    return tuple(out)
+    g._cache["connected"] = out = tuple(out)
+    return out
 
 
-def enumerate_all_connected_flags(g: PointedGraph, q, k):
-    """Every connected k-flag (not up to equivalence)."""
-    if not 1 <= k <= g.n:
-        raise BadK(k)
+def enumerate_all_connected_flags(g: PointedGraph, k):
+    """Every connected k-flag (not up to equivalence); none when k > n."""
+    if k < 1:
+        raise BadK(f"flag length k={k} must be at least 1")
+    q = g.q
     everything = frozenset(range(g.n))
     subsets = _connected_subsets(g)
     out = []
@@ -275,22 +282,19 @@ class FlagBasis:
         return iter(self.flags)
 
 
-_BASIS_CACHE = {}
-
-
-def enumerate_minimal_flags(g: PointedGraph, q, k) -> FlagBasis:
-    key = (g, q, k)
-    if key in _BASIS_CACHE:
-        return _BASIS_CACHE[key]
+def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
+    """S_k for the base vertex g.q, cached on g."""
+    if k in g._cache:
+        return g._cache[k]
     buckets = {}
-    for uc in enumerate_all_connected_flags(g, q, k):
+    for uc in enumerate_all_connected_flags(g, k):
         o = flag_orientation(g, uc)
         cur = buckets.get(o)
         if cur is None or flag_sort_key(uc) < flag_sort_key(cur):
             buckets[o] = uc
     flags = sorted(buckets.values(), key=flag_sort_key)
     basis = FlagBasis(k, flags, {o: f for o, f in buckets.items()})
-    _BASIS_CACHE[key] = basis
+    g._cache[k] = basis
     return basis
 
 
@@ -317,16 +321,8 @@ def kappa(g: PointedGraph, w: ConnectedFlag, v: ConnectedFlag):
         raise TailMismatch("flags must agree above the first level")
     w1, v1 = w.chain[0], v.chain[0]
     w2 = w.chain[1]
-    out = divisor_max(boundary_divisor(g, w2 - w1, w1),
-                      boundary_divisor(g, w2 - v1, v1))
-    # alternate expression; a mismatch means a boundary-divisor bug
-    top = w2 - (w1 | v1)
-    alt = divisor_add(
-        divisor_max(boundary_divisor(g, top, w1), boundary_divisor(g, top, v1)),
-        divisor_add(boundary_divisor(g, v1 - w1, w1),
-                    boundary_divisor(g, w1 - v1, v1)))
-    assert out == alt, (w, v, out, alt)
-    return out
+    return divisor_max(boundary_divisor(g, w2 - w1, w1),
+                       boundary_divisor(g, w2 - v1, v1))
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +344,8 @@ def contract(g: PointedGraph, uc: ConnectedFlag):
     return h, tuple(pidx)
 
 
-def pushforward_divisor(vertex_map, d, n_target=None):
-    if n_target is None:
-        n_target = max(vertex_map) + 1
-    out = [0] * n_target
+def pushforward_divisor(vertex_map, d):
+    out = [0] * (max(vertex_map) + 1)
     for v, a in enumerate(d):
         out[vertex_map[v]] += a
     return tuple(out)
@@ -362,7 +356,7 @@ def pullback_flag(g: PointedGraph, vertex_map, vc_prime: ConnectedFlag) -> Conne
     for s in vc_prime.chain:
         chain.append(frozenset(v for v, img in enumerate(vertex_map) if img in s))
     try:
-        return validate_flag(g, g.q, chain)
+        return validate_flag(g, chain)
     except FlagError as exc:
         raise NotAFlag(str(exc)) from exc
 
@@ -472,7 +466,7 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
     sublist.  Needs uc in S_k with k >= 3 (k = 2 merges only hit the 1-flag)."""
     k = uc.k
     parts = uc.parts()
-    basis = enumerate_minimal_flags(g, g.q, k - 1)
+    basis = enumerate_minimal_flags(g, k - 1)
     adjacent = {(a, b) for a in range(k) for b in range(a + 1, k)
                 if any(g.mult[u][v] for u in parts[a] for v in parts[b])}
     records = []

@@ -8,7 +8,7 @@ configuration and as a monomial exponent vector.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class GraphError(ValueError):
@@ -44,6 +44,11 @@ class PointedGraph:
     n: int
     mult: tuple[tuple[int, ...], ...]  # symmetric, zero diagonal
     q: int
+    # flag bases by k and the connected subsets, computed once per object;
+    # init=False: dataclasses.replace(g, q=...) starts empty, as bases depend
+    # on q; compare=False: == and hash stay on (n, mult, q)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def m(self) -> int:
@@ -54,9 +59,6 @@ class PointedGraph:
 
     def neighbors(self, v: int):
         return [w for w in range(self.n) if self.mult[v][w]]
-
-    def vertices(self):
-        return range(self.n)
 
     def adjacent_pairs(self):
         """Sorted (u, v) pairs with u < v and at least one edge."""
@@ -156,14 +158,6 @@ def divisor_max(d1, d2):
     return tuple(max(a, b) for a, b in zip(d1, d2))
 
 
-def is_effective(d) -> bool:
-    return all(a >= 0 for a in d)
-
-
-def divisor_supp(d):
-    return frozenset(v for v, a in enumerate(d) if a)
-
-
 # ---------------------------------------------------------------------------
 # term order
 
@@ -172,9 +166,6 @@ class TermOrder:
     """Degrevlex with variable ranks given by `priority` (rank 0 smallest)."""
 
     priority: tuple[int, ...]
-
-    def rank(self, v: int) -> int:
-        return self.priority.index(v)
 
     def monomial_key(self, exps):
         # Degrevlex: higher total degree wins; on ties the monomial with the
@@ -238,9 +229,6 @@ class PartialOrientation:
             elif s == BACKWARD:
                 out.append((v, u))
         return out
-
-    def is_total(self) -> bool:
-        return all(s != UNORIENTED for _, _, s in self.states)
 
     def indegree_divisor(self, g: PointedGraph):
         d = [0] * g.n

@@ -171,7 +171,10 @@ def schreyer_step(field, basis, morder):
                     syz.pop(key, None)
                 else:
                     syz[key] = s
-        assert new_order.leading_term(syz) == (f, sf), (f, h)
+        lead = new_order.leading_term(syz)
+        if lead != (f, sf):
+            raise OracleError(f"syzygy of S-pair ({f},{h}) leads with {lead},"
+                              f" not {(f, sf)}")
         syzygies.append(syz)
     return syzygies, new_order
 
@@ -179,7 +182,6 @@ def schreyer_step(field, basis, morder):
 @dataclass
 class SchreyerResolution:
     g: PointedGraph
-    q: int
     field: object
     diffs: list               # diffs[t] = columns; a column maps row -> ring poly
     zdeg: list                # zdeg[t][i]
@@ -189,18 +191,13 @@ class SchreyerResolution:
         return [len(cols) for cols in self.diffs]
 
 
-def schreyer_resolution(g: PointedGraph, gens, order, field=None, q=None,
-                        max_len=None) -> SchreyerResolution:
+def schreyer_resolution(g: PointedGraph, gens, order, field=None) -> SchreyerResolution:
     """Iterate schreyer_step from the given Groebner basis until the syzygy
     module vanishes.  The basis list order at each level is the generation
     order, which pulls back the caller's ordering of `gens`."""
     if field is None:
         field = PrimeField()
-    if q is None:
-        q = g.q
-    if max_len is None:
-        max_len = g.n + 1
-    n = g.n
+    q, n = g.q, g.n
     basis = []
     for p in gens:
         elem = p.poly(field) if hasattr(p, "poly") else p
@@ -213,7 +210,7 @@ def schreyer_resolution(g: PointedGraph, gens, order, field=None, q=None,
     picrep = [[q_reduce(g, q, e) for _, e in leads]]
 
     level = 0
-    while basis and level < max_len:
+    while basis and level < n + 1:
         syzygies, morder = schreyer_step(field, basis, morder)
         if not syzygies:
             break
@@ -232,7 +229,7 @@ def schreyer_resolution(g: PointedGraph, gens, order, field=None, q=None,
         picrep.append(ps)
         basis = syzygies
         level += 1
-    return SchreyerResolution(g, q, field, diffs, zdeg, picrep)
+    return SchreyerResolution(g, field, diffs, zdeg, picrep)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def minimalize(res: SchreyerResolution) -> BettiTable:
     """Cancel all unit entries of the complex by row/column elimination and
     return the graded ranks of what is left (as Betti numbers of R/I)."""
     field = res.field
-    g, q = res.g, res.q
+    g = res.g
     zero_exp = zero_divisor(g.n)
     # mutable copies; diffs[t][c][r] = entry of M_t : F_t -> F_{t-1};
     # diffs[0] maps the generators to the ring and never carries units

@@ -3,13 +3,11 @@ the ideal and of its initial ideal, Betti tables, and self-verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 from .divisors import PicClass, pic_class, q_reduce, hilbert_function
 from .fields import PrimeField
 from .flags import (
-    ConnectedFlag,
-    FlagBasis,
     drop_first,
     enumerate_minimal_flags,
     flag_divisor,
@@ -31,7 +29,6 @@ from .graphs import (
 from .poly import (
     format_poly,
     leading_monomial,
-    monomial_divides,
     poly_add,
     poly_division,
     poly_is_zero,
@@ -73,18 +70,11 @@ class Binomial:
         return {self.lead: field.one, self.trail: field.neg(field.one)}
 
 
-def _based_at(g: PointedGraph, q):
-    """g with base vertex q: the term order and the merges read g.q."""
-    return g if q is None or q == g.q else replace(g, q=q)
-
-
-def groebner_basis(g: PointedGraph, q=None):
+def groebner_basis(g: PointedGraph):
     """One binomial per S_2 flag: x^{D(U2-U1, U1)} - x^{D(U1, U2-U1)}."""
-    g = _based_at(g, q)
-    q = g.q
     order = bfs_term_order(g)
     out = []
-    for uc in enumerate_minimal_flags(g, q, 2):
+    for uc in enumerate_minimal_flags(g, 2):
         u1 = uc.chain[0]
         rest = uc.chain[1] - u1
         lead = boundary_divisor(g, rest, u1)
@@ -95,12 +85,8 @@ def groebner_basis(g: PointedGraph, q=None):
     return out
 
 
-def initial_ideal(g: PointedGraph, q=None):
-    gens = [b.lead for b in groebner_basis(g, q)]
-    for a in gens:
-        for b in gens:
-            assert a == b or not monomial_divides(a, b), (a, b)
-    return gens
+def initial_ideal(g: PointedGraph):
+    return [b.lead for b in groebner_basis(g)]
 
 
 def spolynomial(field, f, h, order):
@@ -131,7 +117,6 @@ def buchberger_check(gens, order, field=None) -> bool:
 @dataclass
 class FreeResolution:
     g: PointedGraph
-    q: int
     variant: str              # "binomial" | "monomial"
     field: object
     order: TermOrder
@@ -148,18 +133,16 @@ class FreeResolution:
         return [len(b) for b in self.bases]
 
 
-def build_resolution(g: PointedGraph, q=None, variant="binomial", field=None) -> FreeResolution:
-    g = _based_at(g, q)
-    q = g.q
+def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeResolution:
     if field is None:
         field = PrimeField()
     if variant not in ("binomial", "monomial"):
         raise ValueError(variant)
     order = bfs_term_order(g)
-    bases = [enumerate_minimal_flags(g, q, k) for k in range(2, g.n + 1)]
+    bases = [enumerate_minimal_flags(g, k) for k in range(2, g.n + 1)]
     diffs = []
     # phi_0: generators as single-row columns
-    gens = groebner_basis(g, q)
+    gens = groebner_basis(g)
     cols0 = []
     for b in gens:
         p = b.poly(field) if variant == "binomial" else poly_monomial(b.lead, field.one)
@@ -186,10 +169,10 @@ def build_resolution(g: PointedGraph, q=None, variant="binomial", field=None) ->
         for uc in basis:
             d = flag_divisor(g, uc)
             zs.append(divisor_deg(d))
-            ps.append(q_reduce(g, q, d))
+            ps.append(q_reduce(g, g.q, d))
         zdeg.append(zs)
         picrep.append(ps)
-    res = FreeResolution(g, q, variant, field, order, bases, diffs, zdeg, picrep)
+    res = FreeResolution(g, variant, field, order, bases, diffs, zdeg, picrep)
     bad = _first_composition_failure(res)
     if bad is not None:
         raise CompositionNonzero(bad)
@@ -234,19 +217,17 @@ class BettiTable:
         return sum(c for (ii, _), c in self.z_graded.items() if ii == i)
 
 
-def betti_table(g: PointedGraph, q=None) -> BettiTable:
+def betti_table(g: PointedGraph) -> BettiTable:
     """Graded Betti numbers of R/I_G by counting flags (no matrices)."""
-    if q is None:
-        q = g.q
     z = {(0, 0): 1}
     pic = {(0, PicClass(zero_divisor(g.n))): 1}
     for k in range(2, g.n + 1):
         i = k - 1
-        for uc in enumerate_minimal_flags(g, q, k):
+        for uc in enumerate_minimal_flags(g, k):
             d = flag_divisor(g, uc)
             zkey = (i, divisor_deg(d))
             z[zkey] = z.get(zkey, 0) + 1
-            pkey = (i, pic_class(g, q, d))
+            pkey = (i, pic_class(g, g.q, d))
             pic[pkey] = pic.get(pkey, 0) + 1
     return BettiTable(z, pic)
 
@@ -324,7 +305,7 @@ def _first_lead_failure(res: FreeResolution):
 
 
 def _first_degree_failure(res: FreeResolution):
-    g, q = res.g, res.q
+    g, q = res.g, res.g.q
     for t in range(1, len(res.diffs)):
         for c, col in enumerate(res.diffs[t]):
             for r, p in col.items():
@@ -356,19 +337,17 @@ class HilbertReport:
         return self.lhs == self.rhs
 
 
-def hilbert_check(g: PointedGraph, q=None, t_max=None) -> HilbertReport:
+def hilbert_check(g: PointedGraph, t_max=None) -> HilbertReport:
     """sum_i (-1)^i sum_j beta_{i,j} t^j == (1-t)^n * sum_d HF(d) t^d."""
-    if q is None:
-        q = g.q
     if t_max is None:
         t_max = g.m + 2
     if t_max < g.m:
         raise ValueError(f"t_max={t_max} below edge count {g.m}")
-    bt = betti_table(g, q)
+    bt = betti_table(g)
     lhs = [0] * (t_max + 1)
     for (i, j), c in bt.z_graded.items():
         lhs[j] += c if i % 2 == 0 else -c
-    hf = hilbert_function(g, q, t_max)
+    hf = hilbert_function(g, g.q, t_max)
     binom = [1]
     for _ in range(g.n):      # coefficients of (1-t)^n
         binom = [a - b for a, b in zip(binom + [0], [0] + binom)]

@@ -408,7 +408,7 @@ def test_criterion_4_oracle_equivalence(graph_corpus):
         assert got_q.z_graded == bt.z_graded
         # brute-force class counts
         for k in range(1, n + 1):
-            expect = 1 if k == 1 else len(enumerate_minimal_flags(g, 0, k))
+            expect = 1 if k == 1 else len(enumerate_minimal_flags(g, k))
             assert brute_force_class_count(g, 0, k) == expect
 
 
@@ -471,8 +471,7 @@ def test_criterion_6_flag_calculus_identities():
               complete(4), path(4), theta(3), cycle(6), g6]
     field = get_field("prime")
     for g in graphs:
-        q = g.q
-        minimal = {k: enumerate_minimal_flags(g, q, k)
+        minimal = {k: enumerate_minimal_flags(g, k)
                    for k in range(1, g.n + 1)}
         for k in range(3, g.n + 1):
             lower = set(minimal[k - 1])
@@ -506,7 +505,7 @@ def test_criterion_6_flag_calculus_identities():
                     assert definition == alternate == kappa(g, wc, vc)
 
             # converse of pro:well-def(a), over every connected flag
-            for uc in enumerate_all_connected_flags(g, q, k):
+            for uc in enumerate_all_connected_flags(g, k):
                 d1, d2 = drop_first(g, uc), drop_second(g, uc)
                 member = uc in set(minimal[k])
                 condition = (d1 in lower and d2 in lower

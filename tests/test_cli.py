@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toppling import cli
+from toppling import cli, oracle
 from toppling.cli import (
     ParseError,
     format_divisor,
@@ -12,6 +12,7 @@ from toppling.cli import (
     parse_graph_file,
 )
 from toppling.flags import MissingQ, NotIncreasing
+from toppling.poly import poly_add, poly_monomial
 from toppling.resolution import IdentityViolation
 
 C4_TEXT = """\
@@ -68,23 +69,23 @@ class TestParsing:
 
     def test_flag_literal(self, c4_file):
         g = parse_graph_file(c4_file)
-        uc = parse_flag_literal(g, 0, "{1}<{1,2}<{1,2,3}<{1,2,3,4}")
+        uc = parse_flag_literal(g, "{1}<{1,2}<{1,2,3}<{1,2,3,4}")
         assert uc.k == 4
 
     def test_flag_literal_missing_q(self, c4_file):
         g = parse_graph_file(c4_file)
         with pytest.raises(MissingQ):
-            parse_flag_literal(g, 0, "{2}<{1,2,3,4}")
+            parse_flag_literal(g, "{2}<{1,2,3,4}")
 
     def test_flag_literal_not_increasing(self, c4_file):
         g = parse_graph_file(c4_file)
         with pytest.raises(NotIncreasing):
-            parse_flag_literal(g, 0, "{1}<{1}<{1,2,3,4}")
+            parse_flag_literal(g, "{1}<{1}<{1,2,3,4}")
 
     def test_flag_literal_garbage(self, c4_file):
         g = parse_graph_file(c4_file)
         with pytest.raises(ParseError):
-            parse_flag_literal(g, 0, "1,2<{1,2,3,4}")
+            parse_flag_literal(g, "1,2<{1,2,3,4}")
 
     def test_divisor_round_trip(self, c4_file):
         g = parse_graph_file(c4_file)
@@ -202,6 +203,19 @@ class TestVerify:
         assert main(["verify", "--graph", c4_file, "--oracle", "hilbert"]) == 2
         assert "verification failure" in capsys.readouterr().err
 
+    def test_schreyer_lead_failure_exit_code(self, c4_file, capsys, monkeypatch):
+        # a quotient term above the S-pair's lead breaks the Schreyer lead check
+        real = oracle.division_normal_form
+
+        def skewed(field, elem, basis, morder):
+            quotients, rem = real(field, elem, basis, morder)
+            quotients[0] = poly_add(field, quotients[0],
+                                    poly_monomial((9, 9, 9, 9), field.one))
+            return quotients, rem
+        monkeypatch.setattr(oracle, "division_normal_form", skewed)
+        assert main(["verify", "--graph", c4_file, "--oracle", "schreyer"]) == 2
+        assert "leads with" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_bad_divisor_length(self, c4_file, capsys):
@@ -215,3 +229,43 @@ class TestExitCodes:
         p = tmp_path / "bad.json"
         p.write_text('{"n": 4}')
         assert main(["betti", "--graph", str(p)]) == 1
+
+    def test_usage_errors_exit_1(self, c4_file, capsys):
+        # argparse would exit with 2, the code kept for verification failures
+        for argv in (["flags", "--graph", c4_file],
+                     ["flags", "--graph", c4_file, "--k", "two"],
+                     ["betti", "--graph", c4_file, "--variant", "monomial"],
+                     ["betti", "--graph", c4_file, "--field", "rational"],
+                     ["no-such-verb"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: toppling")
+
+    def test_errors_name_the_problem(self, c4_file, capsys):
+        assert main(["flags", "--graph", c4_file, "--k", "0"]) == 1
+        assert "k=0" in capsys.readouterr().err
+        assert main(["export-dot", "--graph", c4_file,
+                     "--flag", "{1,4}<{1,2,3,4}"]) == 1
+        assert "U_1 = {1,4}" in capsys.readouterr().err
+
+
+class TestOneVertex:
+    @pytest.fixture
+    def k1_file(self, tmp_path):
+        p = tmp_path / "k1.txt"
+        p.write_text("v 1\nq 1\n")
+        return str(p)
+
+    @pytest.mark.parametrize("argv, out", [
+        (["resolution"], "phi 0 1 0\n"),
+        (["groebner"], "\n"),
+        (["betti"], "0\t0\t1\n"),
+        (["flags", "--k", "2"], "\n"),
+    ])
+    def test_verbs(self, k1_file, capsys, argv, out):
+        assert main(argv + ["--graph", k1_file]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_verify(self, k1_file, capsys):
+        assert main(["verify", "--graph", k1_file]) == 0
+        assert capsys.readouterr().out == \
+            "complex ok\nhilbert ok\nschreyer ok\nhochster ok\nflags ok\n"

@@ -1,9 +1,15 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 
 from conftest import c4, complete, cycle, path
 from toppling.divisors import acyclic_orientations_unique_source, q_reduce
 from toppling.graphs import FORWARD, UNORIENTED, PointedGraph, build_graph
 from toppling.flags import (
+    BadK,
+    BadPartIndex,
     ConnectedFlag,
     FlagError,
     LengthMismatch,
@@ -12,6 +18,7 @@ from toppling.flags import (
     NotIncreasing,
     NotMergedFrom,
     PartDisconnected,
+    PrefixDisconnected,
     TailMismatch,
     TooShort,
     contract,
@@ -61,25 +68,31 @@ def u_flag():
 
 class TestValidate:
     def test_g5_valid(self):
-        uc = validate_flag(g5(), 0, [fs(1), fs(1, 2), fs(1, 2, 3, 4),
-                                     fs(1, 2, 3, 4, 5)])
+        uc = validate_flag(g5(), [fs(1), fs(1, 2), fs(1, 2, 3, 4),
+                                  fs(1, 2, 3, 4, 5)])
         assert uc.k == 4
 
     def test_part_disconnected(self):
-        with pytest.raises(PartDisconnected):
-            validate_flag(c4(), 0, [fs(1), fs(1, 2, 3), fs(1, 2, 3, 4)])
+        with pytest.raises(PartDisconnected, match=r"A_2 = \{2,3\}"):
+            validate_flag(c4(), [fs(1), fs(1, 2, 3), fs(1, 2, 3, 4)])
+
+    def test_errors_name_the_problem(self):
+        with pytest.raises(PrefixDisconnected, match=r"U_1 = \{1,4\}"):
+            validate_flag(c4(), [fs(1, 4), fs(1, 2, 3, 4)])
+        with pytest.raises(BadPartIndex, match="j=5"):
+            reversal_orientation(c4(), u_flag(), 5)
 
     def test_one_flag(self):
-        uc = validate_flag(c4(), 0, [fs(1, 2, 3, 4)])
+        uc = validate_flag(c4(), [fs(1, 2, 3, 4)])
         assert uc.k == 1
 
     def test_missing_q(self):
         with pytest.raises(MissingQ):
-            validate_flag(c4(), 0, [fs(2), fs(1, 2, 3, 4)])
+            validate_flag(c4(), [fs(2), fs(1, 2, 3, 4)])
 
     def test_not_increasing(self):
         with pytest.raises(NotIncreasing):
-            validate_flag(c4(), 0, [fs(1), fs(1), fs(1, 2, 3, 4)])
+            validate_flag(c4(), [fs(1), fs(1), fs(1, 2, 3, 4)])
 
     def test_literal_round_trip(self):
         assert u_flag().literal() == "{1} < {1,2} < {1,2,3} < {1,2,3,4}"
@@ -111,7 +124,7 @@ class TestOrientation:
 
     def test_divisor_is_indegree(self):
         g = g5()
-        for uc in enumerate_all_connected_flags(g, 0, 3):
+        for uc in enumerate_all_connected_flags(g, 3):
             o = flag_orientation(g, uc)
             assert flag_divisor(g, uc) == o.indegree_divisor(g)
 
@@ -140,34 +153,66 @@ class TestOrder:
     def test_k2_classes_singletons(self):
         # every 2-flag is alone in its class
         g = c4()
-        all2 = enumerate_all_connected_flags(g, 0, 2)
-        assert len(all2) == len(enumerate_minimal_flags(g, 0, 2))
+        all2 = enumerate_all_connected_flags(g, 2)
+        assert len(all2) == len(enumerate_minimal_flags(g, 2))
 
 
 class TestEnumeration:
     def test_c4_counts(self):
         g = c4()
-        assert [len(enumerate_minimal_flags(g, 0, k)) for k in (2, 3, 4)] == \
+        assert [len(enumerate_minimal_flags(g, k)) for k in (2, 3, 4)] == \
             [6, 8, 3]
 
     def test_c5_counts(self):
         g = cycle(5)
-        assert [len(enumerate_minimal_flags(g, 0, k)) for k in (2, 3, 4, 5)] == \
+        assert [len(enumerate_minimal_flags(g, k)) for k in (2, 3, 4, 5)] == \
             [10, 20, 15, 4]
 
     def test_k1(self):
-        assert len(enumerate_minimal_flags(c4(), 0, 1)) == 1
+        assert len(enumerate_minimal_flags(c4(), 1)) == 1
+
+    def test_k_above_n_is_empty(self):
+        assert enumerate_all_connected_flags(c4(), 5) == []
+        assert len(enumerate_minimal_flags(c4(), 5)) == 0
+
+    def test_k_below_one(self):
+        with pytest.raises(BadK, match="k=0"):
+            enumerate_minimal_flags(c4(), 0)
 
     def test_kn_counts(self):
         # (k-1)! * Stirling2(n, k)
         g = complete(4)
-        assert [len(enumerate_minimal_flags(g, 0, k)) for k in (2, 3, 4)] == \
+        assert [len(enumerate_minimal_flags(g, k)) for k in (2, 3, 4)] == \
             [7, 12, 6]
 
     def test_tree_counts(self):
         g = path(4)
-        assert [len(enumerate_minimal_flags(g, 0, k)) for k in (2, 3, 4)] == \
+        assert [len(enumerate_minimal_flags(g, k)) for k in (2, 3, 4)] == \
             [3, 3, 1]
+
+
+class TestCache:
+    def test_graph_owns_its_bases(self):
+        g = c4()
+        assert enumerate_minimal_flags(g, 2) is enumerate_minimal_flags(g, 2)
+        twin = c4()
+        assert twin == g and hash(twin) == hash(g)
+        assert enumerate_minimal_flags(twin, 2) is not enumerate_minimal_flags(g, 2)
+
+    def test_rebased_copy_starts_empty(self):
+        g = c4()
+        enumerate_minimal_flags(g, 2)
+        h = replace(g, q=3)
+        assert h == build_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 3)
+        assert enumerate_minimal_flags(h, 2) is not enumerate_minimal_flags(g, 2)
+        assert all(3 in uc.chain[0] for uc in enumerate_minimal_flags(h, 2))
+
+    def test_bases_die_with_the_graph(self):
+        g = c4()
+        ref = weakref.ref(enumerate_minimal_flags(g, 2))
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestDrops:
@@ -191,7 +236,7 @@ class TestDrops:
 
     def test_drop_order(self):
         g = c4()
-        for uc in enumerate_minimal_flags(g, 0, 4):
+        for uc in enumerate_minimal_flags(g, 4):
             assert flag_less(drop_first(g, uc), drop_second(g, uc))
 
 
@@ -305,7 +350,7 @@ class TestMerges:
 
     def test_merged_flags_are_representatives(self):
         g = c4()
-        s3 = enumerate_minimal_flags(g, 0, 3)
+        s3 = enumerate_minimal_flags(g, 3)
         _, b_set = merge_sets(g, u_flag())
         assert all(wc in s3.position for wc in b_set)
 
@@ -347,7 +392,7 @@ def corpus_and_families(graph_corpus):
 def records_of(g):
     """(uc, rec) for every merge record of every S_k flag, k >= 3."""
     for k in range(3, g.n + 1):
-        for uc in enumerate_minimal_flags(g, g.q, k):
+        for uc in enumerate_minimal_flags(g, k):
             for rec in merge_records(g, uc):
                 yield uc, rec
 
@@ -363,7 +408,7 @@ def scanned_arcs(g, new_parts, qarcs, qnode):
     for x, y in qarcs:
         indeg[y] += mult[x][y]
     want = tuple(c + 1 for c in q_reduce(h, qnode, tuple(c - 1 for c in indeg)))
-    matches = [o for o in acyclic_orientations_unique_source(h, qnode)
+    matches = [o for o in acyclic_orientations_unique_source(h)
                if o.indegree_divisor(h) == want]
     assert len(matches) == 1
     return set(matches[0].arcs())

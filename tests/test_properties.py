@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -152,7 +153,7 @@ class TestMergeSigns:
         # composing two levels of signed merges annihilates every target flag
         field = get_field("prime")
         flags4 = [uc for k in range(3, g.n + 1)
-                  for uc in enumerate_minimal_flags(g, g.q, k)]
+                  for uc in enumerate_minimal_flags(g, k)]
         if not flags4:
             return
         uc = flags4[pick % len(flags4)]
@@ -181,7 +182,7 @@ class TestClassCounts:
     @settings(max_examples=25)
     def test_q_independent(self, g):
         for k in range(2, g.n + 1):
-            counts = {len(enumerate_minimal_flags(g, q, k))
+            counts = {len(enumerate_minimal_flags(replace(g, q=q), k))
                       for q in range(g.n)}
             assert len(counts) == 1
 
@@ -189,5 +190,5 @@ class TestClassCounts:
     @settings(max_examples=15)
     def test_brute_force_agrees(self, g):
         for k in range(1, g.n + 1):
-            expect = 1 if k == 1 else len(enumerate_minimal_flags(g, g.q, k))
+            expect = 1 if k == 1 else len(enumerate_minimal_flags(g, k))
             assert brute_force_class_count(g, g.q, k) == expect

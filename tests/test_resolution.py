@@ -1,11 +1,12 @@
 import copy
+from dataclasses import replace
 
 import pytest
 
 from conftest import c4, complete, cycle, path, theta
 from toppling.fields import get_field
 from toppling.graphs import bfs_term_order, build_graph
-from toppling.poly import poly_neg
+from toppling.poly import monomial_divides, poly_neg
 from toppling.resolution import (
     Binomial,
     betti_table,
@@ -44,7 +45,16 @@ class TestGroebner:
         from toppling.flags import enumerate_minimal_flags
         for g in (c4(), complete(4), cycle(5)):
             assert len(groebner_basis(g)) == \
-                len(enumerate_minimal_flags(g, g.q, 2))
+                len(enumerate_minimal_flags(g, 2))
+
+    def test_initial_ideal_minimal(self, graph_corpus):
+        # no generator of in(I) divides another, at every base vertex
+        for n, edges in graph_corpus:
+            for q in range(n):
+                gens = initial_ideal(build_graph(n, edges, q))
+                for a in gens:
+                    for b in gens:
+                        assert a == b or not monomial_divides(a, b), (a, b)
 
     def test_initial_ideal_c4(self):
         assert set(initial_ideal(c4())) == {
@@ -83,13 +93,15 @@ class TestBuchberger:
 
 class TestBuildResolution:
     def test_q_argument_rebases(self, graph_corpus):
+        # g0's cache is warm first: a rebased copy must not inherit its bases
         for n, edges in graph_corpus:
             g0 = build_graph(n, edges, 0)
+            build_resolution(g0)
             for q in range(n):
                 gq = build_graph(n, edges, q)
-                assert format_resolution(build_resolution(g0, q=q)) == \
+                assert format_resolution(build_resolution(replace(g0, q=q))) == \
                     format_resolution(build_resolution(gq))
-                assert groebner_basis(g0, q) == groebner_basis(gq)
+                assert groebner_basis(replace(g0, q=q)) == groebner_basis(gq)
 
     def test_c4_ranks(self):
         res = build_resolution(c4())
