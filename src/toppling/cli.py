@@ -74,11 +74,14 @@ def parse_graph_file(path) -> PointedGraph:
 def parse_graph_json(text) -> PointedGraph:
     data = json.loads(text)
     try:
-        n = data["n"]
-        q = data["q"]
-        edges = [(u - 1, v - 1) for u, v, *rest in [tuple(e) for e in data["edges"]]
-                 for _ in range(rest[0] if rest else 1)]
-    except (KeyError, TypeError) as exc:
+        n, q = data["n"], data["q"]
+        edges = [(*e, 1) if len(e) == 2 else tuple(e) for e in data["edges"]]
+        # bool is an int subclass, and JSON true is not a vertex or multiplicity
+        bad = [x for x in (n, q, *(x for e in edges for x in e)) if type(x) is not int]
+        if bad:
+            raise ParseError(f"{bad[0]!r} is not an integer")
+        edges = [(u - 1, v - 1, w) for u, v, w in edges]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from exc
     return build_graph(n, edges, q - 1)
 
@@ -99,8 +102,7 @@ def parse_graph_text(text) -> PointedGraph:
                 q = int(fields[1]) - 1
             elif fields[0] == "e" and len(fields) in (3, 4):
                 u, v = int(fields[1]) - 1, int(fields[2]) - 1
-                mult = int(fields[3]) if len(fields) == 4 else 1
-                edges.extend([(u, v)] * mult)
+                edges.append((u, v, int(fields[3]) if len(fields) == 4 else 1))
             else:
                 raise ValueError("unrecognized directive")
         except ValueError as exc:
@@ -369,6 +371,12 @@ def main(argv=None):
             if not 0 <= g.q < g.n:
                 raise ParseError(f"q={args.q} out of range")
         text = _DISPATCH[args.verb](g, args)
+        # written in one shot so partial output never lands on disk
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (CompositionNonzero, UnitEntry, IdentityViolation, OracleError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
@@ -376,12 +384,6 @@ def main(argv=None):
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # written in one shot so partial output never lands on disk
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

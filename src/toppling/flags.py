@@ -219,61 +219,40 @@ def _oj_arcs(g: PointedGraph, parts, j):
 # ---------------------------------------------------------------------------
 # enumeration of flags and minimal representatives
 
-def _connected_subsets(g: PointedGraph):
-    if "connected" in g._cache:
-        return g._cache["connected"]
-    verts = list(range(g.n))
-    out = []
-    for r in range(1, g.n + 1):
-        for combo in itertools.combinations(verts, r):
-            s = frozenset(combo)
-            if induced_connected(g, s):
-                out.append(s)
-    g._cache["connected"] = out = tuple(out)
-    return out
+def _splits(g: PointedGraph, t):
+    """Every split of t (a set holding q): a connected u with q in u < t and
+    t - u connected."""
+    rest = sorted(t - {g.q})
+    for r in range(len(rest)):
+        for combo in itertools.combinations(rest, r):
+            u = frozenset(combo + (g.q,))
+            if induced_connected(g, u) and induced_connected(g, t - u):
+                yield u
+
+
+def _grow(g: PointedGraph, flags):
+    """Each flag W extended by every split of W_1 put below it."""
+    return [ConnectedFlag((u,) + w.chain)
+            for w in flags for u in _splits(g, w.chain[0])]
 
 
 def enumerate_all_connected_flags(g: PointedGraph, k):
-    """Every connected k-flag (not up to equivalence); none when k > n."""
+    """Every connected k-flag (not up to equivalence); none when k > n.
+    Dropping U_1 from one leaves a connected (k-1)-flag, so grow from (V,)."""
     if k < 1:
         raise BadK(f"flag length k={k} must be at least 1")
-    q = g.q
-    everything = frozenset(range(g.n))
-    subsets = _connected_subsets(g)
-    out = []
-
-    def extend(prefix, chain, remaining_parts):
-        if remaining_parts == 0:
-            if prefix == everything:
-                out.append(ConnectedFlag(tuple(chain)))
-            return
-        if len(everything - prefix) < remaining_parts:
-            return
-        for part in subsets:
-            if part & prefix:
-                continue
-            if prefix:
-                # union stays connected iff the new part touches the prefix
-                if not any(g.mult[u][v] for u in part for v in prefix):
-                    continue
-            elif q not in part:
-                continue
-            chain.append(prefix | part)
-            extend(prefix | part, chain, remaining_parts - 1)
-            chain.pop()
-
-    extend(frozenset(), [], k)
+    out = [ConnectedFlag((frozenset(range(g.n)),))]
+    for _ in range(k - 1):
+        out = _grow(g, out)
     return out
 
 
 class FlagBasis:
     """Minimal representatives of k-flag classes, sorted by <_k."""
 
-    def __init__(self, k, flags, by_orientation):
-        self.k = k
+    def __init__(self, flags):
         self.flags = tuple(flags)
         self.position = {f: i for i, f in enumerate(self.flags)}
-        self.by_orientation = by_orientation
 
     def __len__(self):
         return len(self.flags)
@@ -283,17 +262,21 @@ class FlagBasis:
 
 
 def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
-    """S_k for the base vertex g.q, cached on g."""
+    """S_k for the base vertex g.q, cached on g.  Every connected 2-flag is
+    minimal; for k >= 3, U is in S_k iff drop_first(U) and drop_second(U) are
+    in S_{k-1} and drop_first(U) <_{k-1} drop_second(U)."""
     if k in g._cache:
         return g._cache[k]
-    buckets = {}
-    for uc in enumerate_all_connected_flags(g, k):
-        o = flag_orientation(g, uc)
-        cur = buckets.get(o)
-        if cur is None or flag_sort_key(uc) < flag_sort_key(cur):
-            buckets[o] = uc
-    flags = sorted(buckets.values(), key=flag_sort_key)
-    basis = FlagBasis(k, flags, {o: f for o, f in buckets.items()})
+    if k <= 2:
+        flags = enumerate_all_connected_flags(g, k)
+    elif k > g.n:
+        flags = []
+    else:
+        lower = enumerate_minimal_flags(g, k - 1)
+        flags = [uc for uc in _grow(g, lower)
+                 if (d2 := drop_second(g, uc)) in lower.position
+                 and flag_sort_key(drop_first(g, uc)) < flag_sort_key(d2)]
+    basis = FlagBasis(sorted(flags, key=flag_sort_key))
     g._cache[k] = basis
     return basis
 
@@ -413,11 +396,24 @@ def _merge_target(g, parts, arcs, a, b, basis, realign):
         return None
     if realign:
         qarcs = _realigned_arcs(g, new_parts, qarcs, old_to_new[0])
-    o = _expand_arcs(g, new_parts, qarcs)
-    target = basis.by_orientation.get(o)
-    if target is None:
+    idx = basis.position.get(_least_flag(new_parts, qarcs))
+    if idx is None:
         raise NotMinimalRep("merged orientation has no class representative")
-    return target
+    return basis.flags[idx]
+
+
+def _least_flag(parts, arcs):
+    """The <_k-least flag whose parts, in order, run along the acyclic `arcs`:
+    <_k compares from the top level down, so peel, level by level, the sink
+    part whose removal leaves the subset_key-least prefix."""
+    left = set(range(len(parts)))
+    chain = [frozenset().union(*parts)]
+    while len(left) > 1:
+        sinks = [x for x in left if not any(t == x and h in left for t, h in arcs)]
+        x = min(sinks, key=lambda y: subset_key(chain[-1] - parts[y]))
+        left.remove(x)
+        chain.append(chain[-1] - parts[x])
+    return ConnectedFlag(tuple(reversed(chain)))
 
 
 def _realigned_arcs(g, new_parts, qarcs, qnode):
@@ -467,12 +463,10 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
     k = uc.k
     parts = uc.parts()
     basis = enumerate_minimal_flags(g, k - 1)
-    adjacent = {(a, b) for a in range(k) for b in range(a + 1, k)
-                if any(g.mult[u][v] for u in parts[a] for v in parts[b])}
+    adjacent = _chain_arcs(g, parts)   # G(U): (a, b) with a < b
     records = []
-    arcs0 = _chain_arcs(g, parts)
     for a, b in sorted(adjacent):
-        target = _merge_target(g, parts, arcs0, a, b, basis, realign=False)
+        target = _merge_target(g, parts, adjacent, a, b, basis, realign=False)
         if target is not None:
             records.append(MergeRecord(a + 1, b + 1, target, False))
     for b in range(k - 1):          # 0-based j-1: merge inside o_{b+1}(U)

@@ -44,7 +44,7 @@ class PointedGraph:
     n: int
     mult: tuple[tuple[int, ...], ...]  # symmetric, zero diagonal
     q: int
-    # flag bases by k and the connected subsets, computed once per object;
+    # flag bases by k, computed once per object;
     # init=False: dataclasses.replace(g, q=...) starts empty, as bases depend
     # on q; compare=False: == and hash stay on (n, mult, q)
     _cache: dict = field(default_factory=dict, init=False, repr=False,

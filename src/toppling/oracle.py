@@ -455,8 +455,8 @@ def hochster_betti(g: PointedGraph, q, i, j) -> int:
 
 def brute_force_class_count(g: PointedGraph, q, k) -> int:
     """Count flag equivalence classes from scratch: enumerate every connected
-    k-flag by a top-down recursion (unrelated to the bottom-up one used for
-    S_k) and bucket by full orientation fingerprint."""
+    k-flag by a top-down recursion and bucket by full orientation fingerprint.
+    The fingerprint, not the drop rule that grows S_k, makes it independent."""
     if not 1 <= k <= g.n:
         raise OracleError(f"k={k} out of range")
     everything = frozenset(range(g.n))

@@ -230,6 +230,30 @@ class TestExitCodes:
         p.write_text('{"n": 4}')
         assert main(["betti", "--graph", str(p)]) == 1
 
+    @pytest.mark.parametrize("name, body, named", [
+        ("n.json", '{"n": "4", "q": 1, "edges": [[1, 2], [1, 3], [2, 4], [3, 4]]}',
+         "'4'"),
+        ("f.json", '{"n": 4, "q": 1, "edges": [[1.5, 2], [1, 3], [2, 4], [3, 4]]}',
+         "1.5"),
+        ("b.json", '{"n": 4, "q": 1, "edges": [[1, 2, true], [1, 3], [2, 4], [3, 4]]}',
+         "True"),
+        ("z.json", '{"n": 4, "q": 1, "edges": [[1, 2, 0], [1, 3], [2, 4], [3, 4]]}',
+         "multiplicity 0"),
+        ("z.txt", "v 4\nq 1\ne 1 2 0\ne 1 3\ne 2 4\ne 3 4\n", "multiplicity 0"),
+    ])
+    def test_bad_graph_values(self, tmp_path, capsys, name, body, named):
+        p = tmp_path / name
+        p.write_text(body)
+        assert main(["betti", "--graph", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_unwritable_output(self, c4_file, tmp_path, capsys):
+        dest = tmp_path / "no-such-dir" / "x"
+        assert main(["betti", "--graph", c4_file, "--output", str(dest)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not dest.exists()
+
     def test_usage_errors_exit_1(self, c4_file, capsys):
         # argparse would exit with 2, the code kept for verification failures
         for argv in (["flags", "--graph", c4_file],

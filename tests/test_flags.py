@@ -29,6 +29,7 @@ from toppling.flags import (
     flag_divisor,
     flag_less,
     flag_orientation,
+    flag_sort_key,
     flags_equivalent,
     incidence_sign,
     kappa,
@@ -41,6 +42,7 @@ from toppling.flags import (
     subset_key,
     theta,
     validate_flag,
+    _expand_arcs,
     _fuse,
     _oj_arcs,
     _perm_parity,
@@ -389,6 +391,25 @@ def corpus_and_families(graph_corpus):
     yield complete(5)
 
 
+def grid_2x3():
+    return build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], 0)
+
+
+def bucket_minima(g, k):
+    """flag_orientation -> least flag of that class, over every connected
+    k-flag: S_k by its definition, independent of the drop rule."""
+    least = {}
+    for uc in enumerate_all_connected_flags(g, k):
+        o = flag_orientation(g, uc)
+        if o not in least or flag_sort_key(uc) < flag_sort_key(least[o]):
+            least[o] = uc
+    return least
+
+
+def bucketed_basis(g, k):
+    return sorted(bucket_minima(g, k).values(), key=flag_sort_key)
+
+
 def records_of(g):
     """(uc, rec) for every merge record of every S_k flag, k >= 3."""
     for k in range(3, g.n + 1):
@@ -412,6 +433,29 @@ def scanned_arcs(g, new_parts, qarcs, qnode):
                if o.indegree_divisor(h) == want]
     assert len(matches) == 1
     return set(matches[0].arcs())
+
+
+class TestDropRuleGenerator:
+    def test_equals_bucketed_basis(self, graph_corpus):
+        for g in [*corpus_and_families(graph_corpus), grid_2x3()]:
+            for k in range(1, g.n + 2):
+                assert list(enumerate_minimal_flags(g, k).flags) == bucketed_basis(g, k)
+
+    def test_merge_targets_are_bucket_minima(self, graph_corpus):
+        checked = {False: 0, True: 0}
+        for g in [*corpus_and_families(graph_corpus), grid_2x3()]:
+            minima = {k: bucket_minima(g, k) for k in range(2, g.n)}
+            for uc, rec in records_of(g):
+                a, b = rec.i - 1, rec.j - 1
+                parts = uc.parts()
+                new_parts, old_to_new = _fuse(parts, a, b)
+                arcs = _oj_arcs(g, parts, rec.j if rec.from_reversal else 0)
+                qarcs = _quotient_arcs(arcs, old_to_new, frozenset((a, b)))
+                if rec.from_reversal:
+                    qarcs = _realigned_arcs(g, new_parts, qarcs, old_to_new[0])
+                assert rec.flag == minima[uc.k - 1][_expand_arcs(g, new_parts, qarcs)]
+                checked[rec.from_reversal] += 1
+        assert min(checked.values()) > 1000
 
 
 class TestRealign:
