@@ -230,10 +230,8 @@ def _cmd_orientations(g, args):
 
 
 def _cmd_export_dot(g, args):
-    if args.flag:
-        uc = parse_flag_literal(g, args.flag)
-        return emit_dot(g, flag_orientation(g, uc))
-    raise ParseError("export-dot needs --flag")
+    uc = parse_flag_literal(g, args.flag)
+    return emit_dot(g, flag_orientation(g, uc))
 
 
 def _cmd_verify(g, args):
@@ -250,7 +248,7 @@ def _cmd_verify(g, args):
             res = build_resolution(g, variant=variant, field=field)
             rep = verify_resolution(res)
             if not rep.ok:
-                raise CompositionNonzero(str(rep.counterexamples))
+                raise IdentityViolation(str(rep.counterexamples))
         lines.append("complex ok")
     if want("hilbert"):
         hilbert_check(g)
@@ -344,7 +342,7 @@ def build_parser():
 
     p = sub.add_parser("export-dot")
     common(p)
-    p.add_argument("--flag", default=None)
+    p.add_argument("--flag", required=True)
     return parser
 
 

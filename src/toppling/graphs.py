@@ -87,21 +87,9 @@ def build_graph(n, edges, q) -> PointedGraph:
         mult[u][v] += w
         mult[v][u] += w
     g = PointedGraph(n, tuple(tuple(row) for row in mult), q)
-    if n > 1 and len(_bfs_component(g, q)) != n:
+    if None in bfs_distances(g, q):
         raise Disconnected("graph is not connected")
     return g
-
-
-def _bfs_component(g: PointedGraph, start: int) -> set:
-    seen = {start}
-    todo = deque([start])
-    while todo:
-        u = todo.popleft()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return seen
 
 
 def induced_connected(g: PointedGraph, s) -> bool:

@@ -1,6 +1,6 @@
-"""Independent verifiers: a generic Schreyer syzygy engine, resolution
-minimalization, Hochster-style simplicial homology, and a brute-force
-flag-class counter.
+"""Independent verifiers: a generic Schreyer syzygy engine whose Betti
+numbers are read off F (x) k, Hochster-style simplicial homology, and a
+brute-force flag-class counter.
 
 Everything here recomputes results from first principles so it can be diffed
 against the closed-form construction in `resolution`.
@@ -9,8 +9,8 @@ against the closed-form construction in `resolution`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .divisors import PicClass, linear_system, q_reduce
 from .fields import PrimeField, RationalField
@@ -18,21 +18,12 @@ from .flags import ConnectedFlag, flag_orientation
 from .graphs import (
     PointedGraph,
     divisor_add,
-    divisor_deg,
     divisor_max,
     divisor_sub,
     induced_connected,
     zero_divisor,
 )
-from .poly import (
-    monomial_divides,
-    poly_add,
-    poly_is_zero,
-    poly_monomial,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-)
+from .poly import monomial_divides, poly_add, poly_monomial
 from .resolution import BettiTable
 
 
@@ -184,7 +175,6 @@ class SchreyerResolution:
     g: PointedGraph
     field: object
     diffs: list               # diffs[t] = columns; a column maps row -> ring poly
-    zdeg: list                # zdeg[t][i]
     picrep: list              # picrep[t][i] = q-reduced representative
 
     def ranks(self):
@@ -205,124 +195,68 @@ def schreyer_resolution(g: PointedGraph, gens, order, field=None) -> SchreyerRes
     morder = ring_module_order(order, n)
 
     diffs = [[{0: {e: c for (_, e), c in b.items()}} for b in basis]]
-    leads = [morder.leading_term(b) for b in basis]
-    zdeg = [[divisor_deg(e) for _, e in leads]]
-    picrep = [[q_reduce(g, q, e) for _, e in leads]]
+    picrep = [[q_reduce(g, q, morder.leading_term(b)[1]) for b in basis]]
 
     level = 0
     while basis and level < n + 1:
         syzygies, morder = schreyer_step(field, basis, morder)
         if not syzygies:
             break
-        cols = []
-        zs, ps = [], []
+        cols, ps = [], []
         for syz in syzygies:
             col = {}
             for (row, e), c in syz.items():
                 col[row] = poly_add(field, col.get(row, {}), poly_monomial(e, c))
             cols.append(col)
             lead_row, lead_exp = morder.leading_term(syz)
-            zs.append(divisor_deg(lead_exp) + zdeg[level][lead_row])
             ps.append(q_reduce(g, q, divisor_add(lead_exp, picrep[level][lead_row])))
         diffs.append(cols)
-        zdeg.append(zs)
         picrep.append(ps)
         basis = syzygies
         level += 1
-    return SchreyerResolution(g, field, diffs, zdeg, picrep)
+    return SchreyerResolution(g, field, diffs, picrep)
 
 
 # ---------------------------------------------------------------------------
 # minimalization
 
 def minimalize(res: SchreyerResolution) -> BettiTable:
-    """Cancel all unit entries of the complex by row/column elimination and
-    return the graded ranks of what is left (as Betti numbers of R/I)."""
+    """Graded Betti numbers of R/I read off F (x) k, without reducing F.
+
+    beta_{i,J} = dim Tor_i(R/I, k)_J is the homology of F (x) k, whose
+    differentials are the constant entries of F.  A constant entry joins two
+    basis elements of one Pic class J, so phi_i (x) k splits into one scalar
+    block per class and
+        beta_{i,J} = #F_i(J) - rank phi_i(J) - rank phi_{i+1}(J)."""
     field = res.field
-    g = res.g
-    zero_exp = zero_divisor(g.n)
-    # mutable copies; diffs[t][c][r] = entry of M_t : F_t -> F_{t-1};
-    # diffs[0] maps the generators to the ring and never carries units
-    diffs = [[dict(col) for col in cols] for cols in res.diffs]
-    alive = [list(range(len(cols))) for cols in res.diffs]
-    zdeg = res.zdeg
-    picrep = res.picrep
-
-    def entry(t, r, c):
-        return diffs[t][c].get(r, {})
-
-    def set_entry(t, r, c, p):
-        if poly_is_zero(p):
-            diffs[t][c].pop(r, None)
-        else:
-            diffs[t][c][r] = p
-
-    changed = True
-    while changed:
-        changed = False
-        for t in range(1, len(diffs)):
-            unit = None
-            for c in alive[t]:
-                for r, p in diffs[t][c].items():
-                    if zero_exp in p:
-                        unit = (r, c, p[zero_exp])
-                        break
-                if unit:
-                    break
-            if unit is None:
-                continue
-            r, c, u = unit
-            uinv = field.inv(u)
-            # clear row r: col_c2 -= fac * col_c; mirror on M_{t+1} is
-            # row c += fac * row c2
-            for c2 in alive[t]:
-                if c2 == c or poly_is_zero(entry(t, r, c2)):
+    zero_exp = zero_divisor(res.g.n)
+    # reps[i][c] = q-reduced class of basis element c of F_i; F_0 = R
+    reps = [[zero_exp]] + res.picrep
+    ranks = [{} for _ in range(len(reps) + 1)]      # ranks[i][J] = rank phi_i(J)
+    for i, cols in enumerate(res.diffs, start=1):
+        blocks = {}                                 # J -> {column: {row: unit}}
+        for c, col in enumerate(cols):
+            for r, p in col.items():
+                if zero_exp not in p:
                     continue
-                fac = poly_scale(field, entry(t, r, c2), uinv)
-                for r2 in list(diffs[t][c]):
-                    prod = poly_mul(field, fac, diffs[t][c][r2])
-                    set_entry(t, r2, c2, poly_sub(field, entry(t, r2, c2), prod))
-                if t + 1 < len(diffs):
-                    for c3 in alive[t + 1]:
-                        below = entry(t + 1, c2, c3)
-                        if poly_is_zero(below):
-                            continue
-                        set_entry(t + 1, c, c3,
-                                  poly_add(field, entry(t + 1, c, c3),
-                                           poly_mul(field, fac, below)))
-            # clear column c: row_r2 -= fac * row_r (row r is now supported
-            # only at c); mirror on M_{t-1} is col r += fac * col r2
-            for r2 in list(diffs[t][c]):
-                if r2 == r:
-                    continue
-                fac = poly_scale(field, diffs[t][c][r2], uinv)
-                set_entry(t, r2, c, {})
-                for rprev in list(diffs[t - 1][r2]):
-                    prod = poly_mul(field, fac, diffs[t - 1][r2][rprev])
-                    set_entry(t - 1, rprev, r,
-                              poly_add(field, entry(t - 1, rprev, r), prod))
-            # drop the cancelled pair of basis elements
-            alive[t].remove(c)
-            alive[t - 1].remove(r)
-            diffs[t][c] = {}
-            diffs[t - 1][r] = {}
-            for cols in diffs[t]:
-                cols.pop(r, None)
-            if t + 1 < len(diffs):
-                for cols in diffs[t + 1]:
-                    cols.pop(c, None)
-            changed = True
-            break
+                if reps[i - 1][r] != reps[i][c]:
+                    raise OracleError(f"constant entry of phi_{i} at ({r},{c})"
+                                      f" joins classes {reps[i - 1][r]} and {reps[i][c]}")
+                blocks.setdefault(reps[i][c], {}).setdefault(c, {})[r] = p[zero_exp]
+        for cls, block in blocks.items():
+            rows = sorted({r for col in block.values() for r in col})
+            mat = [[col.get(r, field.zero) for col in block.values()] for r in rows]
+            ranks[i][cls] = _matrix_rank(mat, field)
 
-    z = {(0, 0): 1}
-    pic = {(0, PicClass(zero_divisor(g.n))): 1}
-    for t in range(len(diffs)):
-        for c in alive[t]:
-            i = t + 1
-            zkey = (i, zdeg[t][c])
-            z[zkey] = z.get(zkey, 0) + 1
-            pkey = (i, PicClass(picrep[t][c]))
-            pic[pkey] = pic.get(pkey, 0) + 1
+    z, pic = {}, {}
+    for i, classes in enumerate(reps):
+        for cls, count in Counter(classes).items():
+            beta = count - ranks[i].get(cls, 0) - ranks[i + 1].get(cls, 0)
+            if beta < 0:
+                raise OracleError(f"beta_{i} at {cls} is {beta}: F (x) k is not a complex")
+            if beta:
+                z[(i, sum(cls))] = z.get((i, sum(cls)), 0) + beta
+                pic[(i, PicClass(cls))] = beta
     return BettiTable(z, pic)
 
 
@@ -384,6 +318,9 @@ def reduced_homology_dims(c: SimplicialComplex, field=None):
                 sub = frozenset(verts[:omit] + verts[omit + 1:])
                 sgn = field.one if omit % 2 == 0 else field.neg(field.one)
                 mat[pos[d - 1][sub]][ci] = sgn
+        if isinstance(field, RationalField):
+            # +-1 entries: fraction-free elimination keeps integers small
+            return _int_rank([[int(x) for x in row] for row in mat])
         return _matrix_rank(mat, field)
 
     ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
@@ -398,8 +335,6 @@ def reduced_homology_dims(c: SimplicialComplex, field=None):
 def _matrix_rank(mat, field):
     if not mat or not mat[0]:
         return 0
-    if isinstance(field, RationalField):
-        return _int_rank([[int(Fraction(x)) for x in row] for row in mat])
     a = [row[:] for row in mat]
     rows, cols = len(a), len(a[0])
     rank = 0

@@ -1,8 +1,12 @@
+import contextlib
+import io
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toppling import cli, oracle
+from toppling import cli, oracle, resolution
 from toppling.cli import (
     ParseError,
     format_divisor,
@@ -13,7 +17,7 @@ from toppling.cli import (
 )
 from toppling.flags import MissingQ, NotIncreasing
 from toppling.poly import poly_add, poly_monomial
-from toppling.resolution import IdentityViolation
+from toppling.resolution import CompositionNonzero, IdentityViolation
 
 C4_TEXT = """\
 # 4-cycle with edges 1-2, 1-3, 2-4, 3-4
@@ -216,6 +220,26 @@ class TestVerify:
         assert main(["verify", "--graph", c4_file, "--oracle", "schreyer"]) == 2
         assert "leads with" in capsys.readouterr().err
 
+    def test_composition_failure_exit_code(self, c4_file, capsys, monkeypatch):
+        # one merge record with the wrong sign breaks phi_0 . phi_1 = 0, which
+        # build_resolution itself must catch: verify_resolution does not recheck it
+        real = resolution.record_sign
+
+        def flip_first_sign():
+            calls = itertools.count()
+
+            def flipped(g, uc, rec):
+                sgn = real(g, uc, rec)
+                return -sgn if next(calls) == 0 else sgn
+            monkeypatch.setattr(resolution, "record_sign", flipped)
+
+        flip_first_sign()
+        with pytest.raises(CompositionNonzero):
+            resolution.build_resolution(parse_graph_file(c4_file))
+        flip_first_sign()
+        assert main(["verify", "--graph", c4_file, "--oracle", "complex"]) == 2
+        assert "phi_0 . phi_1 nonzero" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_bad_divisor_length(self, c4_file, capsys):
@@ -270,6 +294,87 @@ class TestExitCodes:
         assert main(["export-dot", "--graph", c4_file,
                      "--flag", "{1,4}<{1,2,3,4}"]) == 1
         assert "U_1 = {1,4}" in capsys.readouterr().err
+
+
+# graph-file fuzzing: connected graphs on at most 6 vertices (build_graph
+# allocates an n x n matrix), with up to two values made out of range, of the
+# wrong sign or type, or lines dropped or added
+junk = st.sampled_from(["", "x", "1.5", "-", "{", "e", "v", "q", "0x3", "#"])
+wrong = (st.integers(-2, 6) | st.floats(allow_nan=False, allow_infinity=False)
+         | st.booleans() | st.none() | junk | st.lists(st.integers(-2, 6), max_size=4))
+wrong_token = st.integers(-2, 6).map(str) | junk
+
+
+@st.composite
+def graph_parts(draw):
+    """(n, q, edges), 1-based; an added edge may be a loop."""
+    n = draw(st.integers(1, 6))
+    edges = [[v, draw(st.integers(1, v - 1))] for v in range(2, n + 1)]
+    edges += draw(st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2),
+                           max_size=3))
+    for e in edges:
+        if draw(st.booleans()):
+            e.append(draw(st.integers(1, 3)))
+    return n, draw(st.integers(1, n)), draw(st.permutations(edges))
+
+
+@st.composite
+def text_graph(draw):
+    n, q, edges = draw(graph_parts())
+    lines = [["v", str(n)], ["q", str(q)]] + [["e", *map(str, e)] for e in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))     # two edits leave a line
+        how = draw(st.sampled_from(["token", "drop", "add"]))
+        if how == "add":
+            lines.insert(i, draw(st.lists(wrong_token, max_size=4)))
+        elif how == "drop":
+            del lines[i]
+        elif lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(wrong_token)
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@st.composite
+def json_graph(draw):
+    n, q, edges = draw(graph_parts())
+    data = {"n": n, "q": q, "edges": edges}
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["n", "q", "edges", "edge", "drop"]))
+        if how == "drop":
+            data.pop(draw(st.sampled_from(["n", "q", "edges"])), None)
+        elif how != "edge":
+            data[how] = draw(wrong)
+        elif isinstance(data.get("edges"), list) and data["edges"]:
+            data["edges"][draw(st.integers(0, len(data["edges"]) - 1))] = draw(wrong)
+    return json.dumps(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g"
+
+
+class TestContractFuzz:
+    """Any graph file ends in exit 0 or 1, never a traceback."""
+
+    def run_verbs(self, path, body):
+        path.write_text(body)
+        for verb in ("betti", "groebner", "orientations"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([verb, "--graph", str(path)])
+            assert code in (0, 1), (verb, body, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=text_graph())
+    def test_text(self, fuzz_path, body):
+        self.run_verbs(fuzz_path, body)
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=json_graph())
+    def test_json(self, fuzz_path, body):
+        self.run_verbs(fuzz_path, body)
 
 
 class TestOneVertex:

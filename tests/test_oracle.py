@@ -1,14 +1,17 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from conftest import c4, complete, cycle, path, theta
+from conftest import c4, complete, corpus, cycle, path, theta
 from toppling.divisors import linearly_equivalent
 from toppling.fields import get_field
-from toppling.graphs import bfs_term_order
+from toppling.graphs import bfs_term_order, build_graph
 from toppling.oracle import (
     NotGroebner,
     OracleError,
+    SchreyerResolution,
     SimplicialComplex,
     brute_force_class_count,
     delta_complex,
@@ -210,6 +213,69 @@ class TestSchreyerResolution:
             g, [b.poly(F) for b in groebner_basis(g)], order, field=F))
         assert bt_q.z_graded == bt_p.z_graded
         assert bt_q.pic_graded == bt_p.pic_graded
+
+
+def pointed_graphs():
+    """C4, C5, K4 and the first corpus graphs, at every base vertex."""
+    graphs = {"c4": c4(), "c5": cycle(5), "k4": complete(4)}
+    for i, (n, edges) in enumerate(corpus()[:3]):
+        graphs[f"corpus{i}"] = build_graph(n, list(edges), 0)
+    return [pytest.param(replace(g, q=q), id=f"{name}-q{q}")
+            for name, g in graphs.items() for q in range(g.n)]
+
+
+def same_tables(got, want):
+    return got.z_graded == want.z_graded and got.pic_graded == want.pic_graded
+
+
+class TestMinimalizeByTor:
+    """Betti numbers of Schreyer resolutions whose generators are not the
+    +-1 binomials, so that the constant entries are not all +-1."""
+
+    @pytest.mark.parametrize("g", pointed_graphs())
+    def test_scaled_rational_generators(self, g):
+        Q = get_field("rational")
+        rng = random.Random(11)
+        gens = []
+        for b in groebner_basis(g):
+            scale = Fraction(rng.choice((2, 3, -5)))
+            gens.append({e: c * scale for e, c in b.poly(Q).items()})
+        rng.shuffle(gens)
+        res = schreyer_resolution(g, gens, bfs_term_order(g), field=Q)
+        assert same_tables(minimalize(res), betti_table(g))
+
+    @pytest.mark.parametrize("g", pointed_graphs())
+    def test_repeated_prime_generator(self, g):
+        rng = random.Random(13)
+        gens = [b.poly(F) for b in groebner_basis(g)]
+        rng.shuffle(gens)
+        unit = rng.randrange(2, F.p)
+        gens.insert(rng.randrange(len(gens) + 1),
+                    {e: F.mul(c, unit) for e, c in rng.choice(gens).items()})
+        res = schreyer_resolution(g, gens, bfs_term_order(g), field=F)
+        assert sum(res.ranks()) > sum(betti_table(g).total(i) for i in range(1, g.n))
+        assert same_tables(minimalize(res), betti_table(g))
+
+    def test_constant_entry_across_classes(self):
+        # phi_2 maps a syzygy of class (0,1,1) to the generator x2^2 of
+        # class (0,2,0) by a constant, so F is not graded
+        g = path(3)
+        res = SchreyerResolution(
+            g, F,
+            diffs=[[{0: {(0, 2, 0): F.one}}], [{0: {(0, 0, 0): F.one}}]],
+            picrep=[[(0, 2, 0)], [(0, 1, 1)]])
+        with pytest.raises(OracleError, match="joins classes"):
+            minimalize(res)
+
+    def test_negative_count(self):
+        # phi_1 and phi_2 both carry the unit 1 at the trivial class, so
+        # phi_1 . phi_2 != 0 and beta_1 would be 1 - 1 - 1
+        g = path(2)
+        unit = {0: {(0, 0): F.one}}
+        res = SchreyerResolution(g, F, diffs=[[unit], [unit]],
+                                 picrep=[[(0, 0)], [(0, 0)]])
+        with pytest.raises(OracleError, match="beta_1 at"):
+            minimalize(res)
 
 
 class TestDeltaComplex:
