@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from .graphs import (
     PointedGraph,
     bfs_order,
+    digraph_is_acyclic,
     divisor_deg,
     divisor_sub,
-    orientation_is_acyclic,
+    indegree_divisor,
     total_orientations,
 )
 
@@ -167,9 +168,9 @@ def acyclic_orientations_unique_source(g: PointedGraph):
     """Total orientations with no directed cycle and g.q the unique source."""
     out = []
     for o in total_orientations(g):
-        if not orientation_is_acyclic(o, g.n):
+        if not digraph_is_acyclic(g.n, o):
             continue
-        indeg = o.indegree_divisor(g)
+        indeg = indegree_divisor(g, o)
         sources = [v for v in range(g.n) if indeg[v] == 0]
         if sources == [g.q]:
             out.append(o)
@@ -181,7 +182,7 @@ def maximal_reduced_divisors(g: PointedGraph):
 
     House convention: value -1 at g.q."""
     ones = (1,) * g.n
-    return [divisor_sub(o.indegree_divisor(g), ones)
+    return [divisor_sub(indegree_divisor(g, o), ones)
             for o in acyclic_orientations_unique_source(g)]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 DEFAULT_PRIME = 32003
 
@@ -53,7 +54,7 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.one / a
 
     def is_zero(self, a):
         return a == 0
@@ -68,5 +69,8 @@ def get_field(name):
     if name == "prime":
         return PrimeField()
     if name.startswith("prime:"):
-        return PrimeField(int(name.split(":", 1)[1]))
+        p = int(name.split(":", 1)[1])
+        if not 2 <= p < 2**31 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"{name!r} does not name a prime P, 2 <= P < 2**31")
+        return PrimeField(p)
     raise ValueError(f"unknown field {name!r}")

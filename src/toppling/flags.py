@@ -8,15 +8,12 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import (
-    BACKWARD,
-    FORWARD,
-    UNORIENTED,
-    PartialOrientation,
     PointedGraph,
     boundary_divisor,
     digraph_is_acyclic,
     divisor_add,
     divisor_max,
+    indegree_divisor,
     induced_connected,
     zero_divisor,
 )
@@ -154,21 +151,20 @@ def _part_index(g: PointedGraph, parts):
     return pidx
 
 
-def _expand_arcs(g: PointedGraph, parts, arcs) -> PartialOrientation:
-    """Vertex-pair states from part-level arcs (set of (a, b) = a -> b)."""
+def _expand_arcs(g: PointedGraph, parts, arcs):
+    """Vertex arcs from part-level arcs (set of (a, b) = a -> b); pairs
+    inside one part stay unoriented."""
     pidx = _part_index(g, parts)
-    state = {}
+    out = set()
     for u, v in g.adjacent_pairs():
         pu, pv = pidx[u], pidx[v]
-        if pu == pv:
-            state[(u, v)] = UNORIENTED
-        elif (pu, pv) in arcs:
-            state[(u, v)] = FORWARD
+        if (pu, pv) in arcs:
+            out.add((u, v))
         elif (pv, pu) in arcs:
-            state[(u, v)] = BACKWARD
-        else:
+            out.add((v, u))
+        elif pu != pv:
             raise FlagError("cross-part pair without an arc")
-    return PartialOrientation.from_dict(state)
+    return frozenset(out)
 
 
 def _chain_arcs(g: PointedGraph, parts):
@@ -182,7 +178,9 @@ def _chain_arcs(g: PointedGraph, parts):
     return arcs
 
 
-def flag_orientation(g: PointedGraph, uc: ConnectedFlag) -> PartialOrientation:
+def flag_orientation(g: PointedGraph, uc: ConnectedFlag):
+    """G(U) as a frozenset of (tail, head) vertex arcs: every edge between
+    parts runs from the lower part; edges inside a part have no arc."""
     parts = uc.parts()
     return _expand_arcs(g, parts, _chain_arcs(g, parts))
 
@@ -201,7 +199,9 @@ def flags_equivalent(g: PointedGraph, u: ConnectedFlag, v: ConnectedFlag) -> boo
     return flag_orientation(g, u) == flag_orientation(g, v)
 
 
-def reversal_orientation(g: PointedGraph, uc: ConnectedFlag, j) -> PartialOrientation:
+def reversal_orientation(g: PointedGraph, uc: ConnectedFlag, j):
+    """o_j(U) as a frozenset of (tail, head) vertex arcs, in the format of
+    flag_orientation."""
     if not 0 <= j <= uc.k:
         raise BadPartIndex(f"reversal index j={j} outside 0..{uc.k}")
     parts = uc.parts()
@@ -209,11 +209,10 @@ def reversal_orientation(g: PointedGraph, uc: ConnectedFlag, j) -> PartialOrient
 
 
 def _oj_arcs(g: PointedGraph, parts, j):
-    """o_j: flip, in turn, all arcs between A_1..A_j and their complements."""
-    arcs = _chain_arcs(g, parts)
-    for t in range(j):
-        arcs = {(b, a) if a == t or b == t else (a, b) for a, b in arcs}
-    return arcs
+    """o_j: flip, in turn, all arcs between A_1..A_j and their complements,
+    so an arc ends up flipped iff exactly one of its ends is below j."""
+    return {(b, a) if (a < j) != (b < j) else (a, b)
+            for a, b in _chain_arcs(g, parts)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +313,20 @@ def kappa(g: PointedGraph, w: ConnectedFlag, v: ConnectedFlag):
 def contract(g: PointedGraph, uc: ConnectedFlag):
     """(G_/U, vertex_map): part A_i becomes vertex i-1; q' = 0."""
     parts = uc.parts()
-    k = uc.k
+    return _quotient_graph(g, parts), tuple(_part_index(g, parts))
+
+
+def _quotient_graph(g: PointedGraph, parts):
+    """g with part i contracted to node i; the base node is 0, q's part."""
+    k = len(parts)
     pidx = _part_index(g, parts)
     mult = [[0] * k for _ in range(k)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            a, b = pidx[u], pidx[v]
-            if a != b:
-                mult[a][b] += g.mult[u][v]
-                mult[b][a] += g.mult[u][v]
-    h = PointedGraph(k, tuple(tuple(row) for row in mult), 0)
-    return h, tuple(pidx)
+    for u, v in g.adjacent_pairs():
+        a, b = pidx[u], pidx[v]
+        if a != b:
+            mult[a][b] += g.mult[u][v]
+            mult[b][a] += g.mult[u][v]
+    return PointedGraph(k, tuple(tuple(row) for row in mult), 0)
 
 
 def pushforward_divisor(vertex_map, d):
@@ -392,10 +394,10 @@ def _merge_target(g, parts, arcs, a, b, basis, realign):
     part-level orientation `arcs`, or None when the merge is not acyclic."""
     new_parts, old_to_new = _fuse(parts, a, b)
     qarcs = _quotient_arcs(arcs, old_to_new, frozenset((a, b)))
-    if not digraph_is_acyclic(len(new_parts), list(qarcs)):
+    if not digraph_is_acyclic(len(new_parts), qarcs):
         return None
     if realign:
-        qarcs = _realigned_arcs(g, new_parts, qarcs, old_to_new[0])
+        qarcs = _realigned_arcs(g, new_parts, qarcs)
     idx = basis.position.get(_least_flag(new_parts, qarcs))
     if idx is None:
         raise NotMinimalRep("merged orientation has no class representative")
@@ -416,7 +418,7 @@ def _least_flag(parts, arcs):
     return ConnectedFlag(tuple(reversed(chain)))
 
 
-def _realigned_arcs(g, new_parts, qarcs, qnode):
+def _realigned_arcs(g, new_parts, qarcs):
     """Replace the leftover orientation of the fused partition by the
     unique-source acyclic orientation whose indegree divisor is E + 1, for
     the q-reduced form E of sum(indeg - 1) on the quotient graph.
@@ -424,26 +426,19 @@ def _realigned_arcs(g, new_parts, qarcs, qnode):
     Dhar's burning order is a bijection between maximal q-reduced divisors and
     unique-source acyclic orientations (Benson-Chakrabarty-Tetali, G-parking
     functions, acyclic orientations and spanning trees, 2010): start the fire
-    at qnode, burn the smallest node whose burnt-edge count exceeds E there,
-    and orient every edge from its earlier-burnt end.
+    at node 0, q's part (_fuse never moves part 0), burn the smallest node
+    whose burnt-edge count exceeds E there, and orient every edge from its
+    earlier-burnt end.
 
     FlagError is raised if the fire stalls or a node burns with a count other
-    than E + 1.  Past that check every node off qnode has indegree E + 1, and
-    since both divisors sum to the edge count, so does qnode.  An acyclic
+    than E + 1.  Past that check every node off node 0 has indegree E + 1,
+    and since both divisors sum to the edge count, so does node 0.  An acyclic
     orientation is determined by its indegrees, so this is the only one."""
-    k = len(new_parts)
-    mult = [[0] * k for _ in range(k)]
-    for x in range(k):
-        for y in range(x + 1, k):
-            c = sum(g.mult[u][v] for u in new_parts[x] for v in new_parts[y])
-            mult[x][y] = mult[y][x] = c
-    h = PointedGraph(k, tuple(tuple(row) for row in mult), qnode)
-    indeg = [0] * k
-    for x, y in qarcs:
-        indeg[y] += mult[x][y]
-    e = q_reduce(h, qnode, tuple(c - 1 for c in indeg))
-    rank = {qnode: 0}
-    count = list(mult[qnode])       # edges from burnt nodes
+    h = _quotient_graph(g, new_parts)
+    k, mult = h.n, h.mult
+    e = q_reduce(h, h.q, tuple(c - 1 for c in indegree_divisor(h, qarcs)))
+    rank = {h.q: 0}
+    count = list(mult[h.q])         # edges from burnt nodes
     while len(rank) < k:
         x = next((y for y in range(k) if y not in rank and count[y] > e[y]), None)
         if x is None:

@@ -188,60 +188,24 @@ def bfs_term_order(g: PointedGraph) -> TermOrder:
 
 
 # ---------------------------------------------------------------------------
-# partial orientations
+# orientations: frozensets of (tail, head) arcs, at most one per adjacent
+# pair; an adjacent pair with no arc is unoriented, and parallel edges share
+# their pair's arc
 
-UNORIENTED = 0
-FORWARD = 1   # u -> v for the stored pair (u, v), u < v
-BACKWARD = 2  # v -> u
-
-
-@dataclass(frozen=True)
-class PartialOrientation:
-    """Edge state per adjacent pair; parallel edges always share a state."""
-
-    states: tuple[tuple[int, int, int], ...]  # sorted (u, v, state), u < v
-
-    @classmethod
-    def from_dict(cls, state_map):
-        return cls(tuple((u, v, s) for (u, v), s in sorted(state_map.items())))
-
-    def as_dict(self):
-        return {(u, v): s for u, v, s in self.states}
-
-    def arcs(self):
-        """Directed pairs (tail, head), one per oriented adjacent pair."""
-        out = []
-        for u, v, s in self.states:
-            if s == FORWARD:
-                out.append((u, v))
-            elif s == BACKWARD:
-                out.append((v, u))
-        return out
-
-    def indegree_divisor(self, g: PointedGraph):
-        d = [0] * g.n
-        for tail, head in self.arcs():
-            d[head] += g.mult[tail][head]
-        return tuple(d)
+def indegree_divisor(g: PointedGraph, arcs):
+    d = [0] * g.n
+    for tail, head in arcs:
+        d[head] += g.mult[tail][head]
+    return tuple(d)
 
 
 def total_orientations(g: PointedGraph):
-    """All total orientations (each adjacent pair oriented one way)."""
+    """All total orientations.  Entry `bits` holds (u, v) for the idx-th
+    adjacent pair (u, v), u < v, when bit idx of `bits` is set, else (v, u)."""
     pairs = g.adjacent_pairs()
-    out = []
-    for bits in range(1 << len(pairs)):
-        state = {}
-        for idx, (u, v) in enumerate(pairs):
-            state[(u, v)] = FORWARD if bits >> idx & 1 else BACKWARD
-        out.append(PartialOrientation.from_dict(state))
-    return out
-
-
-def orientation_is_acyclic(o: PartialOrientation, node_count: int) -> bool:
-    """No directed cycle among the oriented pairs (unoriented pairs ignored,
-    which is only meaningful for total orientations; flag machinery handles
-    quotients itself)."""
-    return digraph_is_acyclic(node_count, o.arcs())
+    return [frozenset((u, v) if bits >> idx & 1 else (v, u)
+                      for idx, (u, v) in enumerate(pairs))
+            for bits in range(1 << len(pairs))]
 
 
 def digraph_is_acyclic(node_count: int, arcs) -> bool:

@@ -35,12 +35,6 @@ def poly_sub(field, p1, p2):
     return poly_add(field, p1, poly_neg(field, p2))
 
 
-def poly_scale(field, p, scalar):
-    if field.is_zero(scalar):
-        return {}
-    return {e: field.mul(c, scalar) for e, c in p.items()}
-
-
 def poly_term_mul(field, p, exps, scalar):
     """Multiply by scalar * x^exps."""
     if field.is_zero(scalar):

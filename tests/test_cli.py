@@ -33,6 +33,10 @@ C4_JSON = {"n": 4, "q": 1, "edges": [[1, 2], [1, 3], [2, 4], [3, 4]]}
 
 BETTI_GOLDEN = "0\t0\t1\n1\t2\t6\n2\t3\t8\n3\t4\t3\n"
 
+# base vertex 2; edge 1-2 doubled, and 1-3 inside the part {1,3} of the
+# flag {2} < {2,4} < {1,2,3,4}
+MULTI_TEXT = "v 4\nq 2\ne 1 2 2\ne 1 3\ne 3 4\ne 2 4\n"
+
 
 @pytest.fixture
 def c4_file(tmp_path):
@@ -167,6 +171,25 @@ class TestVerbs:
         assert out.startswith("digraph G {")
         assert "  1 -> 2" in out and "  3 -> 4" in out
 
+    def test_orientations_golden(self, c4_file, capsys):
+        assert main(["orientations", "--graph", c4_file]) == 0
+        assert capsys.readouterr().out == (
+            "1->2 1->3 2->4 3->4\n1->2 1->3 2->4 4->3\n1->2 1->3 3->4 4->2\n")
+
+    def test_export_dot_golden(self, tmp_path, capsys):
+        p = tmp_path / "multi.txt"
+        p.write_text(MULTI_TEXT)
+        assert main(["export-dot", "--graph", str(p),
+                     "--flag", "{2}<{2,4}<{1,2,3,4}"]) == 0
+        assert capsys.readouterr().out == (
+            "digraph G {\n"
+            "  2 -> 1\n"
+            "  2 -> 1\n"
+            "  1 -> 3 [dir=none]\n"
+            "  2 -> 4\n"
+            "  4 -> 3\n"
+            "}\n")
+
     def test_export_dot_needs_flag(self, c4_file, capsys):
         assert main(["export-dot", "--graph", c4_file]) == 1
 
@@ -199,6 +222,13 @@ class TestVerify:
     def test_rational_field(self, c4_file, capsys):
         assert main(["verify", "--graph", c4_file, "--field", "rational",
                      "--oracle", "schreyer"]) == 0
+
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_small_characteristic(self, c4_file, capsys, p):
+        # the Betti numbers do not depend on the characteristic
+        assert main(["verify", "--graph", c4_file, "--field", f"prime:{p}"]) == 0
+        assert capsys.readouterr().out == \
+            "complex ok\nhilbert ok\nschreyer ok\nhochster ok\nflags ok\n"
 
     def test_internal_failure_exit_code(self, c4_file, capsys, monkeypatch):
         def boom(g):
@@ -287,6 +317,13 @@ class TestExitCodes:
                      ["no-such-verb"]):
             assert main(argv) == 1
             assert capsys.readouterr().err.startswith("error: toppling")
+
+    @pytest.mark.parametrize("p", ["0", "1", "4", "-7"])
+    def test_field_not_prime(self, c4_file, capsys, p):
+        for verb in ("resolution", "verify"):
+            assert main([verb, "--graph", c4_file, "--field", f"prime:{p}"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
     def test_errors_name_the_problem(self, c4_file, capsys):
         assert main(["flags", "--graph", c4_file, "--k", "0"]) == 1

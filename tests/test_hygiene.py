@@ -2,7 +2,8 @@
 
 `assert` statements vanish under `python -O`, so a self-check that protects a
 result must raise an exception or live in a test.  The benchmark's tracer
-finds the functions it wraps by name, so a rename must fail here first."""
+finds the functions it wraps by name, so a rename must fail here first.  A
+module imports only names it uses, so a refactor cannot leave one behind."""
 
 import ast
 import importlib.util
@@ -21,6 +22,24 @@ def test_no_assert_in_library():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_tracer_names_resolve():

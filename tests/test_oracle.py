@@ -244,6 +244,17 @@ class TestMinimalizeByTor:
         res = schreyer_resolution(g, gens, bfs_term_order(g), field=Q)
         assert same_tables(minimalize(res), betti_table(g))
 
+    def test_integer_rational_generators_stay_exact(self):
+        g = cycle(5)
+        Q = get_field("rational")
+        gens = [{e: int(c) * 3 for e, c in b.poly(Q).items()}
+                for b in groebner_basis(g)]
+        res = schreyer_resolution(g, gens, bfs_term_order(g), field=Q)
+        entries = [c for cols in res.diffs for col in cols
+                   for p in col.values() for c in p.values()]
+        assert entries and not any(isinstance(c, float) for c in entries)
+        assert same_tables(minimalize(res), betti_table(g))
+
     @pytest.mark.parametrize("g", pointed_graphs())
     def test_repeated_prime_generator(self, g):
         rng = random.Random(13)
