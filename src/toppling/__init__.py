@@ -31,13 +31,13 @@ from .graphs import PointedGraph, bfs_term_order, build_graph
 from .oracle import (
     brute_force_class_count,
     delta_complex,
-    division_normal_form,
     hochster_betti,
     minimalize,
     reduced_homology_dims,
     schreyer_resolution,
     schreyer_step,
 )
+from .poly import division_normal_form
 from .resolution import (
     BettiTable,
     FreeResolution,

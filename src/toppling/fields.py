@@ -10,9 +10,11 @@ DEFAULT_PRIME = 32003
 
 class PrimeField:
     def __init__(self, p=DEFAULT_PRIME):
+        if not 2 <= p < 2**31 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"{p!r} is not a prime P, 2 <= P < 2**31")
         self.p = p
         self.zero = 0
-        self.one = 1 % p
+        self.one = 1
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -69,8 +71,5 @@ def get_field(name):
     if name == "prime":
         return PrimeField()
     if name.startswith("prime:"):
-        p = int(name.split(":", 1)[1])
-        if not 2 <= p < 2**31 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            raise ValueError(f"{name!r} does not name a prime P, 2 <= P < 2**31")
-        return PrimeField(p)
+        return PrimeField(int(name.split(":", 1)[1]))
     raise ValueError(f"unknown field {name!r}")

@@ -23,7 +23,15 @@ from .graphs import (
     induced_connected,
     zero_divisor,
 )
-from .poly import monomial_divides, poly_add, poly_monomial
+from .poly import (
+    division_normal_form,
+    module_term_mul,
+    monomial_divides,
+    poly_add,
+    poly_monomial,
+    poly_sub,
+    ring_module_order,
+)
 from .resolution import BettiTable
 
 
@@ -36,65 +44,7 @@ class NotGroebner(OracleError):
 
 
 # ---------------------------------------------------------------------------
-# free-module elements and Schreyer orders
-#
-# A module element is a dict {(basis index, exponent tuple): scalar}.
-
-class ModuleOrder:
-    """Term order on a free module: per-index monomial shift plus a position
-    chain used as tie-break (earlier positions win ties)."""
-
-    def __init__(self, order, shifts, chains):
-        self.order = order
-        self.shifts = shifts
-        self.chains = chains
-
-    def key(self, term):
-        idx, e = term
-        mon = self.order.monomial_key(divisor_add(e, self.shifts[idx]))
-        return (mon,) + tuple(-p for p in self.chains[idx])
-
-    def leading_term(self, elem):
-        return max(elem, key=self.key)
-
-
-def ring_module_order(order, n):
-    """R viewed as a rank-one free module over itself."""
-    return ModuleOrder(order, [zero_divisor(n)], [(0,)])
-
-
-def division_normal_form(field, elem, basis, morder):
-    """Standard representation elem = sum quotient_g * g + remainder.
-
-    The lowest-index basis element whose lead divides the working lead is
-    always chosen, so the output is deterministic."""
-    leads = [morder.leading_term(b) for b in basis]
-    quotients = [{} for _ in basis]
-    remainder = {}
-    work = dict(elem)
-    while work:
-        lt = morder.leading_term(work)
-        lc = work[lt]
-        idx, e = lt
-        for b_pos, (bidx, be) in enumerate(leads):
-            if bidx == idx and monomial_divides(be, e):
-                shift = divisor_sub(e, be)
-                factor = field.mul(lc, field.inv(basis[b_pos][leads[b_pos]]))
-                quotients[b_pos] = poly_add(field, quotients[b_pos],
-                                            poly_monomial(shift, factor))
-                for (i2, e2), c2 in basis[b_pos].items():
-                    key = (i2, divisor_add(e2, shift))
-                    s = field.sub(work.get(key, field.zero), field.mul(c2, factor))
-                    if field.is_zero(s):
-                        work.pop(key, None)
-                    else:
-                        work[key] = s
-                break
-        else:
-            remainder[lt] = lc
-            del work[lt]
-    return quotients, remainder
-
+# Schreyer resolutions (module elements and orders live in `poly`)
 
 def schreyer_step(field, basis, morder):
     """S-pair syzygies of a Groebner basis, pruned by the chain criterion.
@@ -126,13 +76,7 @@ def schreyer_step(field, basis, morder):
         if not drop:
             kept.append((f, h))
 
-    # pulled-back order on the new free module: basis element [g] carries the
-    # accumulated lead exponent and the position chain of g
-    new_shifts = [divisor_add(leads[p][1], morder.shifts[leads[p][0]])
-                  for p in range(m)]
-    new_chains = [morder.chains[leads[p][0]] + (p,) for p in range(m)]
-    new_order = ModuleOrder(morder.order, new_shifts, new_chains)
-
+    new_order = morder.pulled_back(leads)
     syzygies = []
     for f, h in kept:
         gm = gamma(f, h)
@@ -140,28 +84,14 @@ def schreyer_step(field, basis, morder):
         sh = divisor_sub(gm, leads[h][1])
         cf = field.inv(basis[f][leads[f]])
         ch = field.inv(basis[h][leads[h]])
-        spair = {}
-        for (i, e), c in basis[f].items():
-            spair[(i, divisor_add(e, sf))] = field.mul(c, cf)
-        for (i, e), c in basis[h].items():
-            key = (i, divisor_add(e, sh))
-            s = field.sub(spair.get(key, field.zero), field.mul(c, ch))
-            if field.is_zero(s):
-                spair.pop(key, None)
-            else:
-                spair[key] = s
+        spair = poly_sub(field, module_term_mul(field, basis[f], sf, cf),
+                         module_term_mul(field, basis[h], sh, ch))
         quotients, rem = division_normal_form(field, spair, basis, morder)
         if rem:
             raise NotGroebner(f"S-pair ({f},{h}) has remainder")
-        syz = {(f, sf): cf, (h, sh): field.neg(ch)}
-        for g_pos, quot in enumerate(quotients):
-            for e, c in quot.items():
-                key = (g_pos, e)
-                s = field.sub(syz.get(key, field.zero), c)
-                if field.is_zero(s):
-                    syz.pop(key, None)
-                else:
-                    syz[key] = s
+        syz = poly_sub(field, {(f, sf): cf, (h, sh): field.neg(ch)},
+                       {(g_pos, e): c for g_pos, quot in enumerate(quotients)
+                        for e, c in quot.items()})
         lead = new_order.leading_term(syz)
         if lead != (f, sf):
             raise OracleError(f"syzygy of S-pair ({f},{h}) leads with {lead},"
@@ -192,7 +122,7 @@ def schreyer_resolution(g: PointedGraph, gens, order, field=None) -> SchreyerRes
     for p in gens:
         elem = p.poly(field) if hasattr(p, "poly") else p
         basis.append({(0, e): c for e, c in elem.items()})
-    morder = ring_module_order(order, n)
+    morder = ring_module_order(order)
 
     diffs = [[{0: {e: c for (_, e), c in b.items()}} for b in basis]]
     picrep = [[q_reduce(g, q, morder.leading_term(b)[1]) for b in basis]]

@@ -1,30 +1,34 @@
-"""Sparse polynomial arithmetic keyed by exponent tuples.
+"""Sparse polynomial and free-module arithmetic, the Schreyer order and
+division.
 
-A polynomial is a dict {exponent tuple: nonzero field scalar}.  All operations
-take the coefficient field explicitly; nothing here owns state.
+A polynomial is a dict {exponent tuple: nonzero field scalar}; a free-module
+element is a dict {(basis index, exponent tuple): nonzero field scalar}.  The
+additive operations accept either.  All operations take the coefficient field
+explicitly; nothing here owns state.
 """
 
 from __future__ import annotations
 
-from .graphs import divisor_add, divisor_sub
-
-
-def poly_zero():
-    return {}
+from .graphs import divisor_add, divisor_sub, zero_divisor
 
 
 def poly_monomial(exps, coeff):
     return {tuple(exps): coeff}
 
 
+def _add_into(field, acc, p):
+    """acc += p in place, dropping zero coefficients."""
+    for key, c in p.items():
+        s = field.add(acc.get(key, field.zero), c)
+        if field.is_zero(s):
+            acc.pop(key, None)
+        else:
+            acc[key] = s
+
+
 def poly_add(field, p1, p2):
     out = dict(p1)
-    for e, c in p2.items():
-        s = field.add(out.get(e, field.zero), c)
-        if field.is_zero(s):
-            out.pop(e, None)
-        else:
-            out[e] = s
+    _add_into(field, out, p2)
     return out
 
 
@@ -40,6 +44,12 @@ def poly_term_mul(field, p, exps, scalar):
     if field.is_zero(scalar):
         return {}
     return {divisor_add(e, exps): field.mul(c, scalar) for e, c in p.items()}
+
+
+def module_term_mul(field, elem, exps, scalar):
+    """Multiply a free-module element by scalar * x^exps."""
+    return {(i, divisor_add(e, exps)): field.mul(c, scalar)
+            for (i, e), c in elem.items()}
 
 
 def poly_mul(field, p1, p2):
@@ -67,30 +77,77 @@ def monomial_divides(e1, e2):
     return all(a <= b for a, b in zip(e1, e2))
 
 
+# ---------------------------------------------------------------------------
+# the Schreyer order and division
+
+class ModuleOrder:
+    """Term order on a free module: per-index monomial shift plus a position
+    chain used as tie-break (earlier positions win ties)."""
+
+    def __init__(self, order, shifts, chains):
+        self.order = order
+        self.shifts = shifts
+        self.chains = chains
+        self._ties = [tuple(-p for p in chain) for chain in chains]
+
+    def key(self, term):
+        idx, e = term
+        return self.order.monomial_key(divisor_add(e, self.shifts[idx])), self._ties[idx]
+
+    def leading_term(self, elem):
+        return max(elem, key=self.key)
+
+    def pulled_back(self, leads):
+        """Schreyer's order on the free module whose basis element p maps to
+        an element leading with leads[p] = (index, exponent): p is shifted by
+        exponent + shifts[index] and tie-broken by chains[index] + (p,)."""
+        return ModuleOrder(self.order,
+                           [divisor_add(e, self.shifts[i]) for i, e in leads],
+                           [self.chains[i] + (p,) for p, (i, _) in enumerate(leads)])
+
+
+def ring_module_order(order):
+    """R viewed as a rank-one free module over itself."""
+    return ModuleOrder(order, [zero_divisor(len(order.priority))], [(0,)])
+
+
+def division_normal_form(field, elem, basis, morder):
+    """Standard representation elem = sum quotient_g * g + remainder.
+
+    The lowest-index basis element whose lead divides the working lead is
+    always chosen, so the output is deterministic.  The working lead falls
+    strictly at every step, so no quotient receives one shift twice."""
+    leads = [morder.leading_term(b) for b in basis]
+    quotients = [{} for _ in basis]
+    remainder = {}
+    work = dict(elem)
+    while work:
+        lt = morder.leading_term(work)
+        lc = work[lt]
+        idx, e = lt
+        for b_pos, (bidx, be) in enumerate(leads):
+            if bidx == idx and monomial_divides(be, e):
+                shift = divisor_sub(e, be)
+                factor = field.mul(lc, field.inv(basis[b_pos][leads[b_pos]]))
+                quotients[b_pos][shift] = factor
+                _add_into(field, work, module_term_mul(field, basis[b_pos], shift,
+                                                       field.neg(factor)))
+                break
+        else:
+            remainder[lt] = lc
+            del work[lt]
+    return quotients, remainder
+
+
 def poly_division(field, p, divisors, order):
     """Divide p by the list of divisors; returns (quotients, remainder).
 
-    The lowest-index divisor whose lead divides the current lead is used.
-    """
-    quotients = [poly_zero() for _ in divisors]
-    remainder = poly_zero()
-    leads = [leading_monomial(d, order) for d in divisors]
-    work = dict(p)
-    while work:
-        lm = leading_monomial(work, order)
-        lc = work[lm]
-        for idx, d in enumerate(divisors):
-            if monomial_divides(leads[idx], lm):
-                factor = field.mul(lc, field.inv(d[leads[idx]]))
-                shift = divisor_sub(lm, leads[idx])
-                quotients[idx] = poly_add(field, quotients[idx],
-                                          poly_monomial(shift, factor))
-                work = poly_sub(field, work, poly_term_mul(field, d, shift, factor))
-                break
-        else:
-            remainder = poly_add(field, remainder, poly_monomial(lm, lc))
-            del work[lm]
-    return quotients, remainder
+    The rank-one case of division_normal_form."""
+    def lift(f):
+        return {(0, e): c for e, c in f.items()}
+    quotients, remainder = division_normal_form(
+        field, lift(p), [lift(d) for d in divisors], ring_module_order(order))
+    return quotients, {e: c for (_, e), c in remainder.items()}
 
 
 def format_poly(p, order, n):

@@ -36,6 +36,7 @@ from .poly import (
     poly_mul,
     poly_sub,
     poly_term_mul,
+    ring_module_order,
 )
 
 
@@ -122,7 +123,6 @@ class FreeResolution:
     order: TermOrder
     bases: list               # bases[t] = FlagBasis of S_{t+2}
     diffs: list               # diffs[t] = list of columns; a column maps row -> poly
-    zdeg: list                # zdeg[t][i] for basis element i of F_t
     picrep: list              # picrep[t][i] = q-reduced representative tuple
 
     @property
@@ -163,16 +163,8 @@ def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeRes
                 col[row] = poly_add(field, col.get(row, {}), term)
             cols.append({r: p for r, p in col.items() if not poly_is_zero(p)})
         diffs.append(cols)
-    zdeg, picrep = [], []
-    for t, basis in enumerate(bases):
-        zs, ps = [], []
-        for uc in basis:
-            d = flag_divisor(g, uc)
-            zs.append(divisor_deg(d))
-            ps.append(q_reduce(g, g.q, d))
-        zdeg.append(zs)
-        picrep.append(ps)
-    res = FreeResolution(g, variant, field, order, bases, diffs, zdeg, picrep)
+    picrep = [[q_reduce(g, g.q, flag_divisor(g, uc)) for uc in basis] for basis in bases]
+    res = FreeResolution(g, variant, field, order, bases, diffs, picrep)
     bad = _first_composition_failure(res)
     if bad is not None:
         raise CompositionNonzero(bad)
@@ -250,27 +242,6 @@ class VerifyReport:
             self.counterexamples[name] = failure
 
 
-def schreyer_keys(res: FreeResolution):
-    """Per level: accumulated lead exponent + position chain for each basis
-    element, defining the pulled-back module orders of the closed form."""
-    total_exp, chains = [], []
-    for t, basis in enumerate(res.bases):
-        te, ch = [], []
-        for pos, uc in enumerate(basis):
-            a = boundary_divisor(res.g, uc.chain[1] - uc.chain[0], uc.chain[0])
-            if t == 0:
-                te.append(a)
-                ch.append((pos,))
-            else:
-                parent = drop_first(res.g, uc)
-                ppos = res.bases[t - 1].position[parent]
-                te.append(divisor_add(a, total_exp[t - 1][ppos]))
-                ch.append(chains[t - 1][ppos] + (pos,))
-        total_exp.append(te)
-        chains.append(ch)
-    return total_exp, chains
-
-
 def verify_resolution(res: FreeResolution) -> VerifyReport:
     """Check the Schreyer lead terms and the gradings of a built resolution.
 
@@ -284,44 +255,41 @@ def verify_resolution(res: FreeResolution) -> VerifyReport:
 
 
 def _first_lead_failure(res: FreeResolution):
-    g, order = res.g, res.order
-    total_exp, chains = schreyer_keys(res)
-    for t in range(1, len(res.diffs)):
-        lower = res.bases[t - 1]
-        for c, uc in enumerate(res.bases[t]):
-            col = res.diffs[t][c]
-            terms = [(r, e) for r, p in col.items() for e in p]
-            if not terms:
+    """Column U of phi_t must lead, in the Schreyer order pulled back along
+    the lead terms of the levels below, with x^{D(U2-U1, U1)} at the row of
+    drop_first(U) (row 0 of R for t = 0)."""
+    g = res.g
+    morder = ring_module_order(res.order)
+    for t, (basis, cols) in enumerate(zip(res.bases, res.diffs)):
+        leads = []
+        for c, uc in enumerate(basis):
+            want = (res.bases[t - 1].position[drop_first(g, uc)] if t else 0,
+                    boundary_divisor(g, uc.chain[1] - uc.chain[0], uc.chain[0]))
+            col = {(r, e): a for r, p in cols[c].items() for e, a in p.items()}
+            if not col:
                 return f"phi_{t} column {c} is zero"
-
-            def key(term):
-                r, e = term
-                mon = order.monomial_key(divisor_add(e, total_exp[t - 1][r]))
-                return (mon,) + tuple(-p for p in chains[t - 1][r])
-
-            r, e = max(terms, key=key)
-            want_row = lower.position[drop_first(g, uc)]
-            want_exp = boundary_divisor(g, uc.chain[1] - uc.chain[0], uc.chain[0])
-            if (r, e) != (want_row, want_exp):
-                return f"phi_{t} column {c}: lead ({r},{e}) != ({want_row},{want_exp})"
+            r, e = morder.leading_term(col)
+            if (r, e) != want:
+                return f"phi_{t} column {c}: lead ({r},{e}) != ({want[0]},{want[1]})"
+            leads.append(want)
+        morder = morder.pulled_back(leads)
     return None
 
 
 def _first_degree_failure(res: FreeResolution):
+    """Each term of phi_t at (r, c) must carry basis element r of F_{t-1} into
+    the Pic class of basis element c of F_t.  q-reduction keeps the degree, so
+    this also checks the Z-grading."""
     g, q = res.g, res.g.q
     for t in range(1, len(res.diffs)):
         for c, col in enumerate(res.diffs[t]):
             for r, p in col.items():
                 for e in p:
-                    if divisor_deg(e) + res.zdeg[t - 1][r] != res.zdeg[t][c]:
-                        return f"Z-degree clash in phi_{t} at ({r},{c})"
                     if q_reduce(g, q, divisor_add(e, res.picrep[t - 1][r])) != res.picrep[t][c]:
                         return f"Pic-degree clash in phi_{t} at ({r},{c})"
     # phi_0 columns against the ring
     for c, col in enumerate(res.diffs[0]):
         for e in col[0]:
-            if divisor_deg(e) != res.zdeg[0][c]:
-                return f"Z-degree clash in phi_0 at column {c}"
             if q_reduce(g, q, e) != res.picrep[0][c]:
                 return f"Pic-degree clash in phi_0 at column {c}"
     return None

@@ -242,7 +242,8 @@ def test_criterion_1_c4_end_to_end():
 
     # resolution shape 0 -> R(-4)^3 -> R(-3)^8 -> R(-2)^6 -> R
     assert res.ranks() == [6, 8, 3]
-    assert res.zdeg == [[2] * 6, [3] * 8, [4] * 3]
+    assert [[sum(rep) for rep in reps] for reps in res.picrep] == \
+        [[2] * 6, [3] * 8, [4] * 3]
 
     # coordinate maps: published row r <-> generator position, published
     # column c <-> flag position, via the published labels themselves
@@ -360,12 +361,14 @@ def test_criterion_3_random_corpus_properties(graph_corpus):
             tables = []
             for variant in ("binomial", "monomial"):
                 res = build_resolution(g, variant=variant, field=field)
-                rep = verify_resolution(res)        # (a) phi.phi = 0, (b) units
+                # (a) phi.phi = 0 and (b) no unit entries: build_resolution
+                # raises if either fails
+                rep = verify_resolution(res)
                 assert rep.ok, rep.counterexamples
                 z, pic = {(0, 0): 1}, {}
                 for t in range(res.length):
                     for i in range(len(res.bases[t])):
-                        zk = (t + 1, res.zdeg[t][i])
+                        zk = (t + 1, sum(res.picrep[t][i]))
                         z[zk] = z.get(zk, 0) + 1
                         pk = (t + 1, res.picrep[t][i])
                         pic[pk] = pic.get(pk, 0) + 1

@@ -3,7 +3,8 @@
 `assert` statements vanish under `python -O`, so a self-check that protects a
 result must raise an exception or live in a test.  The benchmark's tracer
 finds the functions it wraps by name, so a rename must fail here first.  A
-module imports only names it uses, so a refactor cannot leave one behind."""
+module imports only names it uses, and every top-level definition is used
+somewhere, so a refactor cannot leave one behind."""
 
 import ast
 import importlib.util
@@ -54,3 +55,30 @@ def test_tracer_names_resolve():
     assert missing == []
     unders = {under for _, _, under, _ in tracing.COUNTERS.values()} - {None}
     assert unders <= set(tracing.NAME_ID)
+
+
+def _referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def test_no_dead_definitions():
+    # a reference is a name, an attribute or a string constant (the tracer's
+    # SPANS, __all__) anywhere in src/, tests/ or bench/, outside the
+    # definition itself
+    root = SRC.parent.parent
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "bench").glob("*.py")]
+    defined, used = [], set()
+    for path in sorted(files):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(top, "name", None)
+            if path.parent == SRC and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, own))
+            used.update(name for name in _referenced_names(top) if name != own)
+    assert [f"{mod}:{name}" for mod, name in defined if name not in used] == []

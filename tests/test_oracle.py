@@ -37,7 +37,7 @@ def modform(p):
 def c4_setup():
     g = c4()
     order = bfs_term_order(g)
-    morder = ring_module_order(order, g.n)
+    morder = ring_module_order(order)
     gb = [modform(b.poly(F)) for b in groebner_basis(g)]
     return g, order, morder, gb
 
@@ -93,14 +93,14 @@ class TestSchreyerStep:
 
     def test_path_koszul_syzygy(self):
         g = path(3)
-        morder = ring_module_order(bfs_term_order(g), g.n)
+        morder = ring_module_order(bfs_term_order(g))
         gb = [modform(b.poly(F)) for b in groebner_basis(g)]
         syz, _ = schreyer_step(F, gb, morder)
         assert len(syz) == 1
 
     def test_singleton_no_syzygies(self):
         g = theta(3)
-        morder = ring_module_order(bfs_term_order(g), g.n)
+        morder = ring_module_order(bfs_term_order(g))
         gb = [modform(b.poly(F)) for b in groebner_basis(g)]
         syz, _ = schreyer_step(F, gb, morder)
         assert syz == []

@@ -6,7 +6,7 @@ import pytest
 from conftest import c4, complete, cycle, path, theta
 from toppling.fields import get_field
 from toppling.graphs import bfs_term_order, build_graph
-from toppling.poly import monomial_divides, poly_neg
+from toppling.poly import monomial_divides, poly_add, poly_neg
 from toppling.resolution import (
     Binomial,
     _first_composition_failure,
@@ -110,13 +110,14 @@ class TestBuildResolution:
 
     def test_c4_degrees(self):
         res = build_resolution(c4())
-        assert res.zdeg == [[2] * 6, [3] * 8, [4] * 3]
+        assert [[sum(rep) for rep in reps] for reps in res.picrep] == \
+            [[2] * 6, [3] * 8, [4] * 3]
 
     def test_p3_koszul(self):
         # two linear forms, a complete intersection
         res = build_resolution(path(3))
         assert res.ranks() == [2, 1]
-        assert res.zdeg == [[1, 1], [2]]
+        assert [[sum(rep) for rep in reps] for reps in res.picrep] == [[1, 1], [2]]
 
     def test_monomial_variant(self):
         res = build_resolution(c4(), variant="monomial")
@@ -150,9 +151,24 @@ class TestVerify:
     def test_degree_check_catches_corruption(self):
         res = build_resolution(c4())
         bad = copy.deepcopy(res)
-        bad.zdeg[1][0] += 1
+        rep = bad.picrep[1][0]
+        bad.picrep[1][0] = (rep[0] + 1,) + rep[1:]       # one more chip
         rep = verify_resolution(bad)
         assert not rep.checks["degrees"]
+
+    def test_lead_check_catches_higher_term(self):
+        # x^(9,9,9,9) at row 0 outranks the true lead of column 0 of phi_1
+        bad = copy.deepcopy(build_resolution(c4()))
+        col = bad.diffs[1][0]
+        col[0] = poly_add(bad.field, col.get(0, {}), {(9, 9, 9, 9): bad.field.one})
+        rep = verify_resolution(bad)
+        assert not rep.checks["lead_terms"]
+
+    def test_lead_check_catches_zero_column(self):
+        bad = copy.deepcopy(build_resolution(c4()))
+        bad.diffs[1][0] = {}
+        rep = verify_resolution(bad)
+        assert not rep.checks["lead_terms"]
 
 
 class TestBetti:
