@@ -25,7 +25,6 @@ from .flags import (
 )
 from .graphs import PointedGraph, bfs_term_order, build_graph
 from .oracle import (
-    NotGroebner,
     OracleError,
     brute_force_class_count,
     hochster_betti,
@@ -37,7 +36,6 @@ from .resolution import (
     IdentityViolation,
     UnitEntry,
     betti_table,
-    buchberger_check,
     build_resolution,
     format_resolution,
     groebner_basis,
@@ -207,7 +205,7 @@ def _cmd_equiv(g, args):
 
 def _cmd_linsys(g, args):
     d = parse_divisor(g, args.divisor)
-    members = linear_system(g, g.q, d)
+    members = linear_system(g, d)
     return "\n".join(format_divisor(e) for e in members) + "\n"
 
 
@@ -226,7 +224,6 @@ def _cmd_export_dot(g, args):
 
 def _cmd_verify(g, args):
     field = get_field(args.field)
-    order = bfs_term_order(g)
     which = args.oracle
     lines = []
 
@@ -244,24 +241,22 @@ def _cmd_verify(g, args):
         hilbert_check(g)
         lines.append("hilbert ok")
     if want("schreyer"):
-        gb = groebner_basis(g)
-        if not buchberger_check(gb, order, field):
-            raise NotGroebner("Buchberger check failed")
-        sres = schreyer_resolution(g, gb, order, field=field)
-        bt = minimalize(sres)
-        if sorted(bt.z_graded.items()) != sorted(betti_table(g).z_graded.items()):
+        # the first Schreyer step raises NotGroebner if an S-pair of the
+        # basis has a remainder
+        sres = schreyer_resolution(g, groebner_basis(g), bfs_term_order(g), field=field)
+        if minimalize(sres).pic_graded != betti_table(g).pic_graded:
             raise IdentityViolation("Schreyer oracle disagrees with flag count")
         lines.append("schreyer ok")
     if want("hochster"):
         bt = betti_table(g)
         top = g.n - 1
         for (i, j), c in bt.pic_graded.items():
-            if i == top and hochster_betti(g, g.q, i, j) != c:
+            if i == top and hochster_betti(g, i, j.rep) != c:
                 raise IdentityViolation(f"Hochster mismatch at {j}")
         lines.append("hochster ok")
     if want("flags"):
         for k in range(1, g.n + 1):
-            got = brute_force_class_count(g, g.q, k)
+            got = brute_force_class_count(g, k)
             expect = 1 if k == 1 else len(enumerate_minimal_flags(g, k))
             if got != expect:
                 raise IdentityViolation(f"flag-class count mismatch at k={k}")

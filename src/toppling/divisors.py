@@ -51,29 +51,36 @@ def fire_set(g: PointedGraph, d, members, times=1):
     return divisor_sub(d, tuple(x * times for x in laplacian_of(g, chi(g.n, members))))
 
 
+def burn_order(g: PointedGraph, q, d):
+    """Vertices in the order Dhar's fire from q burns them: q first, then
+    at each step the smallest unburnt vertex with more burnt edges than
+    chips.  The vertices left out form the maximal unburnt set."""
+    order = [q]
+    unburnt = [v for v in range(g.n) if v != q]
+    count = g.mult[q]               # edges from burnt vertices
+    while True:
+        for v in unburnt:
+            if count[v] > d[v]:
+                break
+        else:
+            return order
+        order.append(v)
+        unburnt.remove(v)
+        count = [c + m for c, m in zip(count, g.mult[v])]
+
+
 def dhar_burn(g: PointedGraph, q, d):
     """Maximal unburnt set for the fire started at q; empty iff q-reduced."""
     for v in range(g.n):
         if v != q and d[v] < 0:
             raise NegativeOffQ(f"d({v}) = {d[v]} < 0")
-    burnt = {q}
-    progress = True
-    while progress:
-        progress = False
-        for v in range(g.n):
-            if v in burnt:
-                continue
-            incoming = sum(g.mult[v][w] for w in burnt)
-            if incoming > d[v]:
-                burnt.add(v)
-                progress = True
-    return frozenset(range(g.n)) - frozenset(burnt)
+    return frozenset(range(g.n)).difference(burn_order(g, q, d))
 
 
 def is_q_reduced(g: PointedGraph, q, d) -> bool:
-    if any(d[v] < 0 for v in range(g.n) if v != q):
-        return False
-    return not dhar_burn(g, q, d)
+    """Effective off q, and Dhar's fire from q burns every vertex."""
+    return (all(d[v] >= 0 for v in range(g.n) if v != q)
+            and len(burn_order(g, q, d)) == g.n)
 
 
 def q_reduce(g: PointedGraph, q, d):
@@ -106,8 +113,8 @@ def linearly_equivalent(g: PointedGraph, d1, d2) -> bool:
     return q_reduce(g, g.q, d1) == q_reduce(g, g.q, d2)
 
 
-def pic_class(g: PointedGraph, q, d) -> PicClass:
-    return PicClass(q_reduce(g, q, d))
+def pic_class(g: PointedGraph, d) -> PicClass:
+    return PicClass(q_reduce(g, g.q, d))
 
 
 def spanning_tree_count(g: PointedGraph) -> int:
@@ -142,15 +149,15 @@ def _int_det(mat):
     return sign * a[n - 1][n - 1]
 
 
-def linear_system(g: PointedGraph, q, d):
+def linear_system(g: PointedGraph, d):
     """All effective divisors linearly equivalent to d."""
     deg = divisor_deg(d)
     if deg < 0:
         return []
-    target = q_reduce(g, q, d)
+    target = q_reduce(g, g.q, d)
     out = []
     for e in _compositions(deg, g.n):
-        if q_reduce(g, q, e) == target:
+        if q_reduce(g, g.q, e) == target:
             out.append(e)
     return sorted(out)
 
@@ -197,7 +204,7 @@ def effective_reduced_off_q(g: PointedGraph, q):
     return out
 
 
-def hilbert_function(g: PointedGraph, q, t_max):
+def hilbert_function(g: PointedGraph, t_max):
     """HF(d) = number of effective q-reduced divisors of degree d, d=0..t_max."""
-    offq_degs = sorted(divisor_deg(c) for c in effective_reduced_off_q(g, q))
+    offq_degs = sorted(divisor_deg(c) for c in effective_reduced_off_q(g, g.q))
     return [sum(1 for s in offq_degs if s <= d) for d in range(t_max + 1)]

@@ -17,7 +17,7 @@ from .graphs import (
     induced_connected,
     zero_divisor,
 )
-from .divisors import q_reduce
+from .divisors import burn_order, q_reduce
 
 
 class FlagError(ValueError):
@@ -435,21 +435,19 @@ def _realigned_arcs(g, new_parts, qarcs):
     and since both divisors sum to the edge count, so does node 0.  An acyclic
     orientation is determined by its indegrees, so this is the only one."""
     h = _quotient_graph(g, new_parts)
-    k, mult = h.n, h.mult
     e = q_reduce(h, h.q, tuple(c - 1 for c in indegree_divisor(h, qarcs)))
-    rank = {h.q: 0}
-    count = list(mult[h.q])         # edges from burnt nodes
-    while len(rank) < k:
-        x = next((y for y in range(k) if y not in rank and count[y] > e[y]), None)
-        if x is None:
-            raise FlagError(f"Dhar's fire stalls on E={e}")
-        if count[x] != e[x] + 1:
-            raise FlagError(f"node {x} burns with {count[x]} edges, E={e}")
-        rank[x] = len(rank)
-        for y in range(k):
-            count[y] += mult[x][y]
-    return {(x, y) if rank[x] < rank[y] else (y, x)
-            for x in range(k) for y in range(x + 1, k) if mult[x][y]}
+    order = burn_order(h, h.q, e)
+    if len(order) < h.n:
+        raise FlagError(f"Dhar's fire stalls on E={e}")
+    rank = {x: i for i, x in enumerate(order)}
+    arcs = {(x, y) if rank[x] < rank[y] else (y, x)
+            for x in range(h.n) for y in range(x + 1, h.n) if h.mult[x][y]}
+    # a node's indegree counts the edges from nodes burnt before it
+    indeg = indegree_divisor(h, arcs)
+    for x in order[1:]:
+        if indeg[x] != e[x] + 1:
+            raise FlagError(f"node {x} burns with {indeg[x]} edges, E={e}")
+    return arcs
 
 
 def merge_records(g: PointedGraph, uc: ConnectedFlag):

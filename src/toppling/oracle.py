@@ -178,16 +178,15 @@ def minimalize(res: SchreyerResolution) -> BettiTable:
             mat = [[col.get(r, field.zero) for col in block.values()] for r in rows]
             ranks[i][cls] = _matrix_rank(mat, field)
 
-    z, pic = {}, {}
+    pic = {}
     for i, classes in enumerate(reps):
         for cls, count in Counter(classes).items():
             beta = count - ranks[i].get(cls, 0) - ranks[i + 1].get(cls, 0)
             if beta < 0:
                 raise OracleError(f"beta_{i} at {cls} is {beta}: F (x) k is not a complex")
             if beta:
-                z[(i, sum(cls))] = z.get((i, sum(cls)), 0) + beta
                 pic[(i, PicClass(cls))] = beta
-    return BettiTable(z, pic)
+    return BettiTable(pic)
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +194,16 @@ def minimalize(res: SchreyerResolution) -> BettiTable:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    n: int
     facets: tuple             # tuple of frozensets; () = void complex
 
-    @property
-    def dim(self):
-        return max((len(f) for f in self.facets), default=0) - 1
 
-
-def delta_complex(g: PointedGraph, q, j) -> SimplicialComplex:
-    """Supports of effective divisors dominated by members of |j|."""
-    rep = j.rep if isinstance(j, PicClass) else j
-    members = linear_system(g, q, rep)
-    supports = {frozenset(v for v in range(g.n) if d[v] > 0) for d in members}
+def delta_complex(g: PointedGraph, d) -> SimplicialComplex:
+    """Supports of effective divisors dominated by members of |d|."""
+    members = linear_system(g, d)
+    supports = {frozenset(v for v in range(g.n) if e[v] > 0) for e in members}
     facets = [s for s in supports
               if not any(s < t for t in supports)]
-    return SimplicialComplex(g.n, tuple(sorted(facets, key=lambda s: sorted(s))))
+    return SimplicialComplex(tuple(sorted(facets, key=sorted)))
 
 
 def _all_faces(c: SimplicialComplex):
@@ -306,19 +299,19 @@ def _int_rank(mat):
     return rank
 
 
-def hochster_betti(g: PointedGraph, q, i, j) -> int:
-    """beta_{i,j}(R/I) as dim H~_{i-1} of the support complex of |j|.
+def hochster_betti(g: PointedGraph, i, d) -> int:
+    """beta_{i,[d]}(R/I) as dim H~_{i-1} of the support complex of |d|.
 
     The index shift is calibrated: H~_{-1}({emptyset}) = 1 gives beta_0 at
     the trivial class."""
-    dims = reduced_homology_dims(delta_complex(g, q, j))
+    dims = reduced_homology_dims(delta_complex(g, d))
     return dims.get(i - 1, 0)
 
 
 # ---------------------------------------------------------------------------
 # brute-force flag-class counting
 
-def brute_force_class_count(g: PointedGraph, q, k) -> int:
+def brute_force_class_count(g: PointedGraph, k) -> int:
     """Count flag equivalence classes from scratch: enumerate every connected
     k-flag by a top-down recursion and bucket by full orientation fingerprint.
     The fingerprint, not the drop rule that grows S_k, makes it independent."""
@@ -337,7 +330,7 @@ def brute_force_class_count(g: PointedGraph, q, k) -> int:
         for r in range(1, len(top)):
             for combo in itertools.combinations(sorted(top), r):
                 sub = frozenset(combo)
-                if q not in sub:
+                if g.q not in sub:
                     continue
                 if not induced_connected(g, sub):
                     continue

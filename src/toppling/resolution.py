@@ -21,7 +21,6 @@ from .graphs import (
     bfs_term_order,
     boundary_divisor,
     divisor_add,
-    divisor_deg,
     divisor_sub,
     divisor_max,
     zero_divisor,
@@ -118,7 +117,6 @@ def buchberger_check(gens, order, field=None) -> bool:
 @dataclass
 class FreeResolution:
     g: PointedGraph
-    variant: str              # "binomial" | "monomial"
     field: object
     order: TermOrder
     bases: list               # bases[t] = FlagBasis of S_{t+2}
@@ -164,7 +162,7 @@ def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeRes
             cols.append({r: p for r, p in col.items() if not poly_is_zero(p)})
         diffs.append(cols)
     picrep = [[q_reduce(g, g.q, flag_divisor(g, uc)) for uc in basis] for basis in bases]
-    res = FreeResolution(g, variant, field, order, bases, diffs, picrep)
+    res = FreeResolution(g, field, order, bases, diffs, picrep)
     bad = _first_composition_failure(res)
     if bad is not None:
         raise CompositionNonzero(bad)
@@ -202,26 +200,28 @@ def _first_unit_entry(res: FreeResolution):
 
 @dataclass
 class BettiTable:
-    z_graded: dict            # (i, j) -> count
     pic_graded: dict          # (i, PicClass) -> count
 
+    @property
+    def z_graded(self):
+        """(i, j) -> count; q-reduction keeps the degree, so j = deg rep."""
+        z = {}
+        for (i, cls), c in self.pic_graded.items():
+            z[(i, sum(cls.rep))] = z.get((i, sum(cls.rep)), 0) + c
+        return z
+
     def total(self, i):
-        return sum(c for (ii, _), c in self.z_graded.items() if ii == i)
+        return sum(c for (ii, _), c in self.pic_graded.items() if ii == i)
 
 
 def betti_table(g: PointedGraph) -> BettiTable:
     """Graded Betti numbers of R/I_G by counting flags (no matrices)."""
-    z = {(0, 0): 1}
     pic = {(0, PicClass(zero_divisor(g.n))): 1}
     for k in range(2, g.n + 1):
-        i = k - 1
         for uc in enumerate_minimal_flags(g, k):
-            d = flag_divisor(g, uc)
-            zkey = (i, divisor_deg(d))
-            z[zkey] = z.get(zkey, 0) + 1
-            pkey = (i, pic_class(g, g.q, d))
-            pic[pkey] = pic.get(pkey, 0) + 1
-    return BettiTable(z, pic)
+            key = (k - 1, pic_class(g, flag_divisor(g, uc)))
+            pic[key] = pic.get(key, 0) + 1
+    return BettiTable(pic)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def hilbert_check(g: PointedGraph, t_max=None) -> HilbertReport:
     lhs = [0] * (t_max + 1)
     for (i, j), c in bt.z_graded.items():
         lhs[j] += c if i % 2 == 0 else -c
-    hf = hilbert_function(g, g.q, t_max)
+    hf = hilbert_function(g, t_max)
     binom = [1]
     for _ in range(g.n):      # coefficients of (1-t)^n
         binom = [a - b for a, b in zip(binom + [0], [0] + binom)]

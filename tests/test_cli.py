@@ -250,6 +250,44 @@ class TestVerify:
         assert main(["verify", "--graph", c4_file, "--oracle", "schreyer"]) == 2
         assert "leads with" in capsys.readouterr().err
 
+    def test_schreyer_rejects_non_groebner_basis(self, c4_file, capsys, monkeypatch):
+        # without its first element the basis leaves an S-pair remainder,
+        # which the first Schreyer step reports
+        real = cli.groebner_basis
+        monkeypatch.setattr(cli, "groebner_basis", lambda g: real(g)[1:])
+        assert main(["verify", "--graph", c4_file, "--oracle", "schreyer"]) == 2
+        assert "verification failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, name", [
+        ("complex", "verify_resolution"),
+        ("schreyer", "minimalize"),
+        ("hochster", "hochster_betti"),
+        ("flags", "brute_force_class_count"),
+    ])
+    def test_oracle_disagreement_exit_code(self, c4_file, capsys, monkeypatch,
+                                           which, name):
+        real = getattr(cli, name)
+
+        def failed_report(res):
+            report = resolution.VerifyReport()
+            report.record("lead_terms", "forced")
+            return report
+
+        def one_extra(sres):
+            bt = real(sres)
+            bt.pic_graded[next(iter(bt.pic_graded))] += 1
+            return bt
+
+        wrong = {
+            "verify_resolution": failed_report,
+            "minimalize": one_extra,
+            "hochster_betti": lambda g, i, d: -1,
+            "brute_force_class_count": lambda g, k: -1,
+        }
+        monkeypatch.setattr(cli, name, wrong[name])
+        assert main(["verify", "--graph", c4_file, "--oracle", which]) == 2
+        assert "verification failure" in capsys.readouterr().err
+
     def test_composition_failure_exit_code(self, c4_file, capsys, monkeypatch):
         # one merge record with the wrong sign breaks phi_0 . phi_1 = 0, which
         # build_resolution itself must catch: verify_resolution does not recheck it
@@ -324,6 +362,10 @@ class TestExitCodes:
             assert main([verb, "--graph", c4_file, "--field", f"prime:{p}"]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unknown_field_name(self, c4_file, capsys):
+        assert main(["resolution", "--graph", c4_file, "--field", "foo"]) == 1
+        assert "unknown field 'foo'" in capsys.readouterr().err
 
     def test_errors_name_the_problem(self, c4_file, capsys):
         assert main(["flags", "--graph", c4_file, "--k", "0"]) == 1

@@ -3,12 +3,13 @@
 `assert` statements vanish under `python -O`, so a self-check that protects a
 result must raise an exception or live in a test.  The benchmark's tracer
 finds the functions it wraps by name, so a rename must fail here first.  A
-module imports only names it uses, and every top-level definition is used
-somewhere, so a refactor cannot leave one behind."""
+module imports only names it uses, and every top-level definition and every
+method is used somewhere, so a refactor cannot leave one behind."""
 
 import ast
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import toppling
@@ -82,3 +83,31 @@ def test_no_dead_definitions():
                 defined.append((path.name, own))
             used.update(name for name in _referenced_names(top) if name != own)
     assert [f"{mod}:{name}" for mod, name in defined if name not in used] == []
+
+
+def test_no_dead_members():
+    # a method or property of a class without bases (a subclass may be
+    # overriding a hook its base calls) is referenced as an attribute
+    # somewhere in src/, tests/ or bench/ outside its own definition;
+    # dunders are called by the language
+    root = SRC.parent.parent
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "bench").glob("*.py")]
+
+    def attrs(node):
+        return Counter(sub.attr for sub in ast.walk(node)
+                       if isinstance(sub, ast.Attribute))
+
+    used, members = Counter(), []
+    for path in sorted(files):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used += attrs(tree)
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.bases:
+                members += [(f"{path.name}:{cls.name}.{fn.name}", fn)
+                            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("__")]
+    assert [name for name, fn in members
+            if used[fn.name] - attrs(fn)[fn.name] <= 0] == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -5,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_multigraph
 from toppling.divisors import (
+    burn_order,
+    dhar_burn,
     is_q_reduced,
     laplacian_of,
     linearly_equivalent,
@@ -79,6 +82,33 @@ class TestReduction:
     def test_equivalent_to_input(self, gd):
         g, d = gd
         assert linearly_equivalent(g, d, q_reduce(g, g.q, d))
+
+
+@st.composite
+def graph_and_effective_off_q(draw):
+    g = draw(graphs)
+    d = tuple(draw(coeffs if v == g.q else st.integers(0, 9)) for v in range(g.n))
+    return g, d
+
+
+class TestDharFire:
+    @given(graph_and_effective_off_q())
+    def test_unburnt_is_largest_legal_set(self, gd):
+        # the fire's fixpoint: the largest set off q that can fire without
+        # sending a member negative (a union of such sets is one)
+        g, d = gd
+        off_q = [v for v in range(g.n) if v != g.q]
+        legal = frozenset()
+        for r in range(1, len(off_q) + 1):
+            for s in itertools.combinations(off_q, r):
+                if all(d[v] >= sum(g.mult[v][w] for w in range(g.n) if w not in s)
+                       for v in s):
+                    legal |= frozenset(s)
+        assert dhar_burn(g, g.q, d) == legal
+        order = burn_order(g, g.q, d)
+        assert order[0] == g.q
+        assert len(set(order)) == len(order)
+        assert set(order) == set(range(g.n)) - legal
 
 
 def exps(draw, n, mk):
@@ -191,4 +221,4 @@ class TestClassCounts:
     def test_brute_force_agrees(self, g):
         for k in range(1, g.n + 1):
             expect = 1 if k == 1 else len(enumerate_minimal_flags(g, k))
-            assert brute_force_class_count(g, g.q, k) == expect
+            assert brute_force_class_count(g, k) == expect
