@@ -240,15 +240,16 @@ def _cmd_verify(g, args):
     if want("hilbert"):
         hilbert_check(g)
         lines.append("hilbert ok")
+    if want("schreyer") or want("hochster"):
+        bt = betti_table(g)
     if want("schreyer"):
         # the first Schreyer step raises NotGroebner if an S-pair of the
         # basis has a remainder
         sres = schreyer_resolution(g, groebner_basis(g), bfs_term_order(g), field=field)
-        if minimalize(sres).pic_graded != betti_table(g).pic_graded:
+        if minimalize(sres).pic_graded != bt.pic_graded:
             raise IdentityViolation("Schreyer oracle disagrees with flag count")
         lines.append("schreyer ok")
     if want("hochster"):
-        bt = betti_table(g)
         top = g.n - 1
         for (i, j), c in bt.pic_graded.items():
             if i == top and hochster_betti(g, i, j.rep) != c:

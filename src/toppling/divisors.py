@@ -1,19 +1,19 @@
 """Divisor theory: Laplacian, linear equivalence, Pic classes, Dhar burning,
-q-reduced forms, linear systems, and the orientation correspondence."""
+q-reduced forms, linear systems, and the orientation correspondence: the
+unique-source acyclic orientations are read off the minimal n-flags S_n."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
+from .flags import enumerate_minimal_flags, flag_orientation
 from .graphs import (
     PointedGraph,
     bfs_order,
-    digraph_is_acyclic,
     divisor_deg,
     divisor_sub,
     indegree_divisor,
-    total_orientations,
 )
 
 
@@ -172,16 +172,11 @@ def _compositions(total, parts):
 
 
 def acyclic_orientations_unique_source(g: PointedGraph):
-    """Total orientations with no directed cycle and g.q the unique source."""
-    out = []
-    for o in total_orientations(g):
-        if not digraph_is_acyclic(g.n, o):
-            continue
-        indeg = indegree_divisor(g, o)
-        sources = [v for v in range(g.n) if indeg[v] == 0]
-        if sources == [g.q]:
-            out.append(o)
-    return out
+    """Acyclic orientations with g.q the unique source: at k = n every part
+    is one vertex, so these are G(U) over U in S_n, one per class
+    (Benson-Chakrabarty-Tetali, G-parking functions, acyclic orientations
+    and spanning trees, 2010)."""
+    return [flag_orientation(g, uc) for uc in enumerate_minimal_flags(g, g.n)]
 
 
 def maximal_reduced_divisors(g: PointedGraph):

@@ -13,11 +13,9 @@ from .graphs import (
     digraph_is_acyclic,
     divisor_add,
     divisor_max,
-    indegree_divisor,
     induced_connected,
     zero_divisor,
 )
-from .divisors import burn_order, q_reduce
 
 
 class FlagError(ValueError):
@@ -313,11 +311,6 @@ def kappa(g: PointedGraph, w: ConnectedFlag, v: ConnectedFlag):
 def contract(g: PointedGraph, uc: ConnectedFlag):
     """(G_/U, vertex_map): part A_i becomes vertex i-1; q' = 0."""
     parts = uc.parts()
-    return _quotient_graph(g, parts), tuple(_part_index(g, parts))
-
-
-def _quotient_graph(g: PointedGraph, parts):
-    """g with part i contracted to node i; the base node is 0, q's part."""
     k = len(parts)
     pidx = _part_index(g, parts)
     mult = [[0] * k for _ in range(k)]
@@ -326,7 +319,7 @@ def _quotient_graph(g: PointedGraph, parts):
         if a != b:
             mult[a][b] += g.mult[u][v]
             mult[b][a] += g.mult[u][v]
-    return PointedGraph(k, tuple(tuple(row) for row in mult), 0)
+    return PointedGraph(k, tuple(tuple(row) for row in mult), 0), tuple(pidx)
 
 
 def pushforward_divisor(vertex_map, d):
@@ -389,15 +382,14 @@ def _quotient_arcs(arcs, old_to_new, drop_pair):
     return out
 
 
-def _merge_target(g, parts, arcs, a, b, basis, realign):
+def _merge_target(parts, arcs, a, b, basis):
     """Minimal S_{k-1} representative for fusing parts a, b (0-based) of the
     part-level orientation `arcs`, or None when the merge is not acyclic."""
     new_parts, old_to_new = _fuse(parts, a, b)
     qarcs = _quotient_arcs(arcs, old_to_new, frozenset((a, b)))
     if not digraph_is_acyclic(len(new_parts), qarcs):
         return None
-    if realign:
-        qarcs = _realigned_arcs(g, new_parts, qarcs)
+    qarcs = _realigned_arcs(qarcs)
     idx = basis.position.get(_least_flag(new_parts, qarcs))
     if idx is None:
         raise NotMinimalRep("merged orientation has no class representative")
@@ -418,35 +410,26 @@ def _least_flag(parts, arcs):
     return ConnectedFlag(tuple(reversed(chain)))
 
 
-def _realigned_arcs(g, new_parts, qarcs):
-    """Replace the leftover orientation of the fused partition by the
-    unique-source acyclic orientation whose indegree divisor is E + 1, for
-    the q-reduced form E of sum(indeg - 1) on the quotient graph.
-
-    Dhar's burning order is a bijection between maximal q-reduced divisors and
-    unique-source acyclic orientations (Benson-Chakrabarty-Tetali, G-parking
-    functions, acyclic orientations and spanning trees, 2010): start the fire
-    at node 0, q's part (_fuse never moves part 0), burn the smallest node
-    whose burnt-edge count exceeds E there, and orient every edge from its
-    earlier-burnt end.
-
-    FlagError is raised if the fire stalls or a node burns with a count other
-    than E + 1.  Past that check every node off node 0 has indegree E + 1,
-    and since both divisors sum to the edge count, so does node 0.  An acyclic
-    orientation is determined by its indegrees, so this is the only one."""
-    h = _quotient_graph(g, new_parts)
-    e = q_reduce(h, h.q, tuple(c - 1 for c in indegree_divisor(h, qarcs)))
-    order = burn_order(h, h.q, e)
-    if len(order) < h.n:
-        raise FlagError(f"Dhar's fire stalls on E={e}")
-    rank = {x: i for i, x in enumerate(order)}
-    arcs = {(x, y) if rank[x] < rank[y] else (y, x)
-            for x in range(h.n) for y in range(x + 1, h.n) if h.mult[x][y]}
-    # a node's indegree counts the edges from nodes burnt before it
-    indeg = indegree_divisor(h, arcs)
-    for x in order[1:]:
-        if indeg[x] != e[x] + 1:
-            raise FlagError(f"node {x} burns with {indeg[x]} edges, E={e}")
+def _realigned_arcs(arcs):
+    """The orientation push-equivalent to `arcs`, an acyclic orientation of
+    a connected quotient, whose unique source is node 0 (q's part; _fuse
+    never moves part 0): while another node is a source, reverse all of its
+    arcs, smallest node first.  Pushes keep the indegree divisor's class, and
+    each push class holds exactly one such orientation (Gioan, Enumerating
+    degree sequences in digraphs and a cycle-cocycle reversing system, 2007;
+    Benson-Chakrabarty-Tetali, G-parking functions, acyclic orientations and
+    spanning trees, 2010), so one already of that form comes back unchanged.
+    FlagError: node 0 is left with an incoming arc, so `arcs` had a cycle."""
+    arcs = set(arcs)
+    while True:
+        heads = {h for _, h in arcs}
+        sources = {t for t, _ in arcs} - heads - {0}
+        if not sources:
+            break
+        x = min(sources)
+        arcs = {(h, t) if t == x else (t, h) for t, h in arcs}
+    if 0 in heads:
+        raise FlagError(f"cyclic orientation {sorted(arcs)}: node 0 has an incoming arc")
     return arcs
 
 
@@ -459,7 +442,7 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
     adjacent = _chain_arcs(g, parts)   # G(U): (a, b) with a < b
     records = []
     for a, b in sorted(adjacent):
-        target = _merge_target(g, parts, adjacent, a, b, basis, realign=False)
+        target = _merge_target(parts, adjacent, a, b, basis)
         if target is not None:
             records.append(MergeRecord(a + 1, b + 1, target, False))
     for b in range(k - 1):          # 0-based j-1: merge inside o_{b+1}(U)
@@ -467,7 +450,7 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
         for a in range(b + 1, k):   # 0-based i-1 with i > j
             if (b, a) not in adjacent:
                 continue
-            target = _merge_target(g, parts, arcs, a, b, basis, realign=True)
+            target = _merge_target(parts, arcs, a, b, basis)
             if target is not None:
                 records.append(MergeRecord(a + 1, b + 1, target, True))
     return records

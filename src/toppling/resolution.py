@@ -121,11 +121,6 @@ class FreeResolution:
     order: TermOrder
     bases: list               # bases[t] = FlagBasis of S_{t+2}
     diffs: list               # diffs[t] = list of columns; a column maps row -> poly
-    picrep: list              # picrep[t][i] = q-reduced representative tuple
-
-    @property
-    def length(self):
-        return len(self.bases)
 
     def ranks(self):
         return [len(b) for b in self.bases]
@@ -161,8 +156,7 @@ def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeRes
                 col[row] = poly_add(field, col.get(row, {}), term)
             cols.append({r: p for r, p in col.items() if not poly_is_zero(p)})
         diffs.append(cols)
-    picrep = [[q_reduce(g, g.q, flag_divisor(g, uc)) for uc in basis] for basis in bases]
-    res = FreeResolution(g, field, order, bases, diffs, picrep)
+    res = FreeResolution(g, field, order, bases, diffs)
     bad = _first_composition_failure(res)
     if bad is not None:
         raise CompositionNonzero(bad)
@@ -281,16 +275,17 @@ def _first_degree_failure(res: FreeResolution):
     the Pic class of basis element c of F_t.  q-reduction keeps the degree, so
     this also checks the Z-grading."""
     g, q = res.g, res.g.q
+    reps = [[q_reduce(g, q, flag_divisor(g, uc)) for uc in basis] for basis in res.bases]
     for t in range(1, len(res.diffs)):
         for c, col in enumerate(res.diffs[t]):
             for r, p in col.items():
                 for e in p:
-                    if q_reduce(g, q, divisor_add(e, res.picrep[t - 1][r])) != res.picrep[t][c]:
+                    if q_reduce(g, q, divisor_add(e, reps[t - 1][r])) != reps[t][c]:
                         return f"Pic-degree clash in phi_{t} at ({r},{c})"
     # phi_0 columns against the ring
     for c, col in enumerate(res.diffs[0]):
         for e in col[0]:
-            if q_reduce(g, q, e) != res.picrep[0][c]:
+            if q_reduce(g, q, e) != reps[0][c]:
                 return f"Pic-degree clash in phi_0 at column {c}"
     return None
 

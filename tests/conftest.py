@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from toppling.graphs import build_graph
+from toppling.graphs import build_graph, digraph_is_acyclic, total_orientations
 
 
 def c4():
@@ -25,6 +25,14 @@ def path(n):
 def theta(m):
     # two vertices joined by m parallel edges
     return build_graph(2, [(0, 1)] * m, 0)
+
+
+def scanned_unique_source(g):
+    """Acyclic orientations with g.q the unique source, by brute force: every
+    total orientation, kept when acyclic and g.q is its only source."""
+    return [o for o in total_orientations(g)
+            if digraph_is_acyclic(g.n, o)
+            and [v for v in range(g.n) if all(h != v for _, h in o)] == [g.q]]
 
 
 def random_connected_multigraph(rng, n_max=6, m_max=10):

@@ -8,9 +8,8 @@ import math
 import random
 from collections import defaultdict
 
-from conftest import c4, complete, cycle, path, theta
+from conftest import c4, complete, cycle, path, scanned_unique_source, theta
 from toppling.divisors import (
-    acyclic_orientations_unique_source,
     effective_reduced_off_q,
     laplacian_of,
     maximal_reduced_divisors,
@@ -24,6 +23,7 @@ from toppling.flags import (
     drop_second,
     enumerate_all_connected_flags,
     enumerate_minimal_flags,
+    flag_divisor,
     flag_less,
     kappa,
     merge_records,
@@ -242,7 +242,7 @@ def test_criterion_1_c4_end_to_end():
 
     # resolution shape 0 -> R(-4)^3 -> R(-3)^8 -> R(-2)^6 -> R
     assert res.ranks() == [6, 8, 3]
-    assert [[sum(rep) for rep in reps] for reps in res.picrep] == \
+    assert [[sum(flag_divisor(g, uc)) for uc in basis] for basis in res.bases] == \
         [[2] * 6, [3] * 8, [4] * 3]
 
     # coordinate maps: published row r <-> generator position, published
@@ -366,11 +366,12 @@ def test_criterion_3_random_corpus_properties(graph_corpus):
                 rep = verify_resolution(res)
                 assert rep.ok, rep.counterexamples
                 z, pic = {(0, 0): 1}, {}
-                for t in range(res.length):
-                    for i in range(len(res.bases[t])):
-                        zk = (t + 1, sum(res.picrep[t][i]))
+                for t, basis in enumerate(res.bases):
+                    for uc in basis:
+                        cls = q_reduce(g, g.q, flag_divisor(g, uc))
+                        zk = (t + 1, sum(cls))
                         z[zk] = z.get(zk, 0) + 1
-                        pk = (t + 1, res.picrep[t][i])
+                        pk = (t + 1, cls)
                         pic[pk] = pic.get(pk, 0) + 1
                 tables.append((z, pic))
             assert tables[0] == tables[1]           # (d) both gradings
@@ -378,8 +379,7 @@ def test_criterion_3_random_corpus_properties(graph_corpus):
             bt = betti_table(g)
             assert tables[0][0] == bt.z_graded
             hilbert_check(g)                        # (e) to degree m+2
-            assert bt.total(n - 1) == \
-                len(acyclic_orientations_unique_source(g))       # (f)
+            assert bt.total(n - 1) == len(scanned_unique_source(g))  # (f)
             assert max(j - i for i, j in bt.z_graded) == g.m - g.n + 1  # (g)
             totals_by_q.append(tuple(bt.total(i) for i in range(n)))
         assert len(set(totals_by_q)) == 1           # (h)
@@ -446,8 +446,7 @@ def test_criterion_5_reduced_divisor_layer():
 
     # maximal reduced divisors match unique-source acyclic orientations
     for g in small:
-        assert len(maximal_reduced_divisors(g)) == \
-            len(acyclic_orientations_unique_source(g))
+        assert len(maximal_reduced_divisors(g)) == len(scanned_unique_source(g))
 
     # top Betti classes are exactly the classes [E + 1] (both directions)
     for g in (c4(), complete(3)):

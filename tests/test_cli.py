@@ -230,6 +230,14 @@ class TestVerify:
         assert capsys.readouterr().out == \
             "complex ok\nhilbert ok\nschreyer ok\nhochster ok\nflags ok\n"
 
+    def test_one_betti_table(self, c4_file, capsys, monkeypatch):
+        # the Schreyer and Hochster oracles share one table
+        calls = []
+        real = cli.betti_table
+        monkeypatch.setattr(cli, "betti_table", lambda g: calls.append(g) or real(g))
+        assert main(["verify", "--graph", c4_file, "--oracle", "all"]) == 0
+        assert len(calls) <= 1
+
     def test_internal_failure_exit_code(self, c4_file, capsys, monkeypatch):
         def boom(g):
             raise IdentityViolation("forced")

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import c4, complete, cycle, path, theta
+from conftest import c4, complete, cycle, path, scanned_unique_source, theta
 from toppling.divisors import (
     NegativeOffQ,
     acyclic_orientations_unique_source,
@@ -15,6 +15,7 @@ from toppling.divisors import (
     q_reduce,
     spanning_tree_count,
 )
+from toppling.graphs import build_graph
 
 
 class TestLaplacian:
@@ -151,6 +152,16 @@ class TestOrientationCorrespondence:
 
     def test_k3_count(self):
         assert len(acyclic_orientations_unique_source(complete(3))) == 2
+
+    def test_equals_scan(self, graph_corpus):
+        grid_2x3 = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3),
+                                   (1, 4), (2, 5)], 0)
+        graphs = [build_graph(n, edges, q)
+                  for n, edges in graph_corpus for q in range(n)]
+        for g in graphs + [complete(5), cycle(6), grid_2x3, complete(1)]:
+            got = acyclic_orientations_unique_source(g)
+            assert len(set(got)) == len(got)
+            assert set(got) == set(scanned_unique_source(g))
 
     def test_maximal_reduced_c4(self):
         got = sorted(maximal_reduced_divisors(c4()))

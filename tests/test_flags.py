@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import c4, complete, cycle, path
-from toppling.divisors import acyclic_orientations_unique_source, q_reduce
+from conftest import c4, complete, cycle, path, scanned_unique_source
+from toppling.divisors import q_reduce
 from toppling.graphs import PointedGraph, build_graph, indegree_divisor
 from toppling.flags import (
     BadK,
@@ -426,7 +426,7 @@ def scanned_arcs(g, new_parts, qarcs, qnode):
     for x, y in qarcs:
         indeg[y] += mult[x][y]
     want = tuple(c + 1 for c in q_reduce(h, qnode, tuple(c - 1 for c in indeg)))
-    matches = [o for o in acyclic_orientations_unique_source(h)
+    matches = [o for o in scanned_unique_source(h)
                if indegree_divisor(h, o) == want]
     assert len(matches) == 1
     return matches[0]
@@ -447,16 +447,15 @@ class TestDropRuleGenerator:
                 parts = uc.parts()
                 new_parts, old_to_new = _fuse(parts, a, b)
                 arcs = _oj_arcs(g, parts, rec.j if rec.from_reversal else 0)
-                qarcs = _quotient_arcs(arcs, old_to_new, frozenset((a, b)))
-                if rec.from_reversal:
-                    qarcs = _realigned_arcs(g, new_parts, qarcs)
+                qarcs = _realigned_arcs(_quotient_arcs(arcs, old_to_new,
+                                                       frozenset((a, b))))
                 assert rec.flag == minima[uc.k - 1][_expand_arcs(g, new_parts, qarcs)]
                 checked[rec.from_reversal] += 1
         assert min(checked.values()) > 1000
 
 
 class TestRealign:
-    def test_burning_order_matches_scan(self, graph_corpus):
+    def test_pushes_match_scan(self, graph_corpus):
         checked = 0
         for g in corpus_and_families(graph_corpus):
             for uc, rec in records_of(g):
@@ -468,18 +467,20 @@ class TestRealign:
                 qarcs = _quotient_arcs(_oj_arcs(g, parts, b + 1), old_to_new,
                                        frozenset((a, b)))
                 qnode = old_to_new[0]
-                assert _realigned_arcs(g, new_parts, qarcs) == \
+                assert _realigned_arcs(qarcs) == \
                     scanned_arcs(g, new_parts, qarcs, qnode)
                 checked += 1
         assert checked > 1000
 
+    def test_three_pushes(self):
+        # path 0-1-2 with 2->1->0: push 2, then 1, then 2 again
+        assert _realigned_arcs({(2, 1), (1, 0)}) == {(0, 1), (1, 2)}
+
     def test_cyclic_quotient_raises(self):
-        # arcs 0->1->2->0: E = 0 and the fire reaches node 2 with 2 burnt
-        # edges where E + 1 = 1
-        g = complete(3)
-        parts = [fs(1), fs(2), fs(3)]
+        # arcs 0->1->2->0: no node off 0 is a source, so nothing is pushed
+        # and node 0 keeps its incoming arc 2->0
         with pytest.raises(FlagError):
-            _realigned_arcs(g, parts, {(0, 1), (1, 2), (2, 0)})
+            _realigned_arcs({(0, 1), (1, 2), (2, 0)})
 
 
 class TestSign:

@@ -4,7 +4,8 @@
 result must raise an exception or live in a test.  The benchmark's tracer
 finds the functions it wraps by name, so a rename must fail here first.  A
 module imports only names it uses, and every top-level definition and every
-method is used somewhere, so a refactor cannot leave one behind."""
+method is used somewhere, so a refactor cannot leave one behind.  The modules
+form layers, each importing only the ones below it."""
 
 import ast
 import importlib.util
@@ -56,6 +57,31 @@ def test_tracer_names_resolve():
     assert missing == []
     unders = {under for _, _, under, _ in tracing.COUNTERS.values()} - {None}
     assert unders <= set(tracing.NAME_ID)
+
+
+LAYERS = ("graphs", "fields", "poly", "flags", "divisors", "resolution",
+          "oracle", "cli")
+
+
+def test_module_layers():
+    assert {path.stem for path in SRC.glob("*.py")} == {"__init__", *LAYERS}
+    upward = []
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 1:
+                targets = [module.split(".")[0]] if module else \
+                    [alias.name for alias in node.names]
+            elif module.startswith("toppling."):
+                targets = [module.split(".")[1]]
+            else:
+                continue
+            upward += [f"{name}:{node.lineno} imports {target}"
+                       for target in targets if target not in LAYERS[:rank]]
+    assert upward == []
 
 
 def _referenced_names(node):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import c4, complete, cycle, path, theta
 from toppling.fields import get_field
+from toppling.flags import flag_divisor
 from toppling.graphs import bfs_term_order, build_graph
 from toppling.poly import monomial_divides, poly_add, poly_neg
 from toppling.resolution import (
@@ -109,15 +110,18 @@ class TestBuildResolution:
         assert res.ranks() == [6, 8, 3]
 
     def test_c4_degrees(self):
-        res = build_resolution(c4())
-        assert [[sum(rep) for rep in reps] for reps in res.picrep] == \
+        g = c4()
+        res = build_resolution(g)
+        assert [[sum(flag_divisor(g, uc)) for uc in basis] for basis in res.bases] == \
             [[2] * 6, [3] * 8, [4] * 3]
 
     def test_p3_koszul(self):
         # two linear forms, a complete intersection
-        res = build_resolution(path(3))
+        g = path(3)
+        res = build_resolution(g)
         assert res.ranks() == [2, 1]
-        assert [[sum(rep) for rep in reps] for reps in res.picrep] == [[1, 1], [2]]
+        assert [[sum(flag_divisor(g, uc)) for uc in basis] for basis in res.bases] == \
+            [[1, 1], [2]]
 
     def test_monomial_variant(self):
         res = build_resolution(c4(), variant="monomial")
@@ -151,8 +155,9 @@ class TestVerify:
     def test_degree_check_catches_corruption(self):
         res = build_resolution(c4())
         bad = copy.deepcopy(res)
-        rep = bad.picrep[1][0]
-        bad.picrep[1][0] = (rep[0] + 1,) + rep[1:]       # one more chip
+        p = next(iter(bad.diffs[1][0].values()))
+        e = next(iter(p))
+        p[(e[0] + 1,) + e[1:]] = p.pop(e)               # one more chip
         rep = verify_resolution(bad)
         assert not rep.checks["degrees"]
 
