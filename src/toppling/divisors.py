@@ -11,9 +11,11 @@ from .flags import enumerate_minimal_flags, flag_orientation
 from .graphs import (
     PointedGraph,
     bfs_order,
+    divisor_add,
     divisor_deg,
     divisor_sub,
     indegree_divisor,
+    zero_divisor,
 )
 
 
@@ -42,13 +44,22 @@ def laplacian_of(g: PointedGraph, f):
     return tuple(d)
 
 
-def chi(n, members):
-    return tuple(1 if v in members else 0 for v in range(n))
+def _fire(g: PointedGraph, d, members, times):
+    """Fire the set `members` `times` times, in place on the list d: each
+    edge leaving the set moves `times` chips from its end inside to its end
+    outside.  Edges inside the set cancel, so they are not touched."""
+    for v in members:
+        for w, m in enumerate(g.mult[v]):
+            if m and w not in members:
+                d[v] -= m * times
+                d[w] += m * times
 
 
 def fire_set(g: PointedGraph, d, members, times=1):
     """Subtract times * Delta(chi_members) from d."""
-    return divisor_sub(d, tuple(x * times for x in laplacian_of(g, chi(g.n, members))))
+    d = list(d)
+    _fire(g, d, frozenset(members), times)
+    return tuple(d)
 
 
 def burn_order(g: PointedGraph, q, d):
@@ -84,7 +95,8 @@ def is_q_reduced(g: PointedGraph, q, d) -> bool:
 
 
 def q_reduce(g: PointedGraph, q, d):
-    """The unique q-reduced divisor linearly equivalent to d."""
+    """The unique q-reduced divisor linearly equivalent to d, computed in
+    place on one list."""
     d = list(d)
     order = bfs_order(g, q)
     # Stage 1: clear negative values off q, farthest first.  Firing the BFS
@@ -93,18 +105,22 @@ def q_reduce(g: PointedGraph, q, d):
         v = order[i]
         if d[v] >= 0:
             continue
-        ball = order[:i]
+        ball = frozenset(order[:i])
         c = sum(g.mult[v][w] for w in ball)
         # BFS parent of v lies in the ball, so c >= 1
-        times = (-d[v] + c - 1) // c
-        d = list(fire_set(g, tuple(d), ball, times))
-    # Stage 2: fire the unburnt set until Dhar's fire consumes everything.
-    d = tuple(d)
+        _fire(g, d, ball, (-d[v] + c - 1) // c)
+    # Stage 2: d is now non-negative off q.  Fire the unburnt set until
+    # Dhar's fire consumes everything, as many times at once as stays legal:
+    # one fire takes from v one chip per edge into the burnt set, and the
+    # fire left v unburnt because it holds at least that many.
     while True:
-        unburnt = dhar_burn(g, q, d)
-        if not unburnt:
-            return d
-        d = fire_set(g, d, unburnt)
+        burnt = burn_order(g, q, d)
+        if len(burnt) == g.n:
+            return tuple(d)
+        unburnt = frozenset(range(g.n)).difference(burnt)
+        times = min(d[v] // out for v in unburnt
+                    if (out := sum(g.mult[v][w] for w in burnt)))
+        _fire(g, d, unburnt, times)
 
 
 def linearly_equivalent(g: PointedGraph, d1, d2) -> bool:
@@ -150,25 +166,31 @@ def _int_det(mat):
 
 
 def linear_system(g: PointedGraph, d):
-    """All effective divisors linearly equivalent to d."""
-    deg = divisor_deg(d)
-    if deg < 0:
+    """|d|, sorted: every effective divisor linearly equivalent to d.
+
+    The class holds an effective divisor iff its q-reduced divisor r has
+    r(q) >= 0.  Any two effective divisors of one class are joined by legal
+    set-firings (Baker-Norine, Riemann-Roch and Abel-Jacobi theory on a
+    finite graph, 2007): if e' = e - Delta(f), firing the top level set of f
+    from e keeps it effective.  So a breadth-first search from r over
+    firings of non-empty proper vertex sets that stay effective finds all
+    of |d|."""
+    if divisor_deg(d) < 0:
         return []
-    target = q_reduce(g, g.q, d)
-    out = []
-    for e in _compositions(deg, g.n):
-        if q_reduce(g, g.q, e) == target:
-            out.append(e)
-    return sorted(out)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    r = q_reduce(g, g.q, d)
+    if r[g.q] < 0:
+        return []
+    moves = [fire_set(g, zero_divisor(g.n), [v for v in range(g.n) if mask >> v & 1])
+             for mask in range(1, (1 << g.n) - 1)]
+    members = [r]
+    seen = {r}
+    for e in members:           # members grows as it is walked
+        for move in moves:
+            f = divisor_add(e, move)
+            if min(f) >= 0 and f not in seen:
+                seen.add(f)
+                members.append(f)
+    return sorted(members)
 
 
 def acyclic_orientations_unique_source(g: PointedGraph):

@@ -44,9 +44,9 @@ class PointedGraph:
     n: int
     mult: tuple[tuple[int, ...], ...]  # symmetric, zero diagonal
     q: int
-    # flag bases by k, computed once per object;
-    # init=False: dataclasses.replace(g, q=...) starts empty, as bases depend
-    # on q; compare=False: == and hash stay on (n, mult, q)
+    # computed once per object: flag bases by k, and BFS orders by
+    # ("bfs", start); init=False: dataclasses.replace(g, q=...) starts empty,
+    # as bases depend on q; compare=False: == and hash stay on (n, mult, q)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -178,13 +178,16 @@ def bfs_distances(g: PointedGraph, start: int):
 
 
 def bfs_order(g: PointedGraph, start: int):
-    """Vertices sorted by (BFS distance from start, index)."""
-    dist = bfs_distances(g, start)
-    return sorted(range(g.n), key=lambda v: (dist[v], v))
+    """Vertices sorted by (BFS distance from start, index), cached on g."""
+    key = ("bfs", start)
+    if key not in g._cache:
+        dist = bfs_distances(g, start)
+        g._cache[key] = tuple(sorted(range(g.n), key=lambda v: (dist[v], v)))
+    return g._cache[key]
 
 
 def bfs_term_order(g: PointedGraph) -> TermOrder:
-    return TermOrder(tuple(bfs_order(g, g.q)))
+    return TermOrder(bfs_order(g, g.q))
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from .graphs import (
     zero_divisor,
 )
 from .poly import (
+    division_normal_form,
     format_poly,
     leading_monomial,
     poly_add,
-    poly_division,
     poly_is_zero,
     poly_monomial,
     poly_mul,
@@ -102,10 +102,14 @@ def buchberger_check(gens, order, field=None) -> bool:
     if field is None:
         field = PrimeField()
     polys = [p if isinstance(p, dict) else p.poly(field) for p in gens]
+    # divide in R as a rank-one free module, with the basis lifted once
+    morder = ring_module_order(order)
+    basis = [{(0, e): c for e, c in p.items()} for p in polys]
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             s = spolynomial(field, polys[i], polys[j], order)
-            _, rem = poly_division(field, s, polys, order)
+            _, rem = division_normal_form(field, {(0, e): c for e, c in s.items()},
+                                          basis, morder)
             if not poly_is_zero(rem):
                 return False
     return True

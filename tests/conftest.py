@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from toppling.graphs import build_graph, digraph_is_acyclic, total_orientations
+from toppling.divisors import dhar_burn, fire_set
+from toppling.graphs import (
+    bfs_order,
+    build_graph,
+    digraph_is_acyclic,
+    total_orientations,
+)
 
 
 def c4():
@@ -33,6 +39,41 @@ def scanned_unique_source(g):
     return [o for o in total_orientations(g)
             if digraph_is_acyclic(g.n, o)
             and [v for v in range(g.n) if all(h != v for _, h in o)] == [g.q]]
+
+
+def reference_q_reduce(g, q, d):
+    """q-reduction one firing per round: clear negative values off q by
+    firing BFS balls, farthest vertex first, then fire Dhar's unburnt set
+    once per round until the fire burns every vertex."""
+    order = bfs_order(g, q)
+    for i in range(g.n - 1, 0, -1):
+        v = order[i]
+        if d[v] < 0:
+            ball = order[:i]
+            c = sum(g.mult[v][w] for w in ball)
+            d = fire_set(g, d, ball, (-d[v] + c - 1) // c)
+    while unburnt := dhar_burn(g, q, d):
+        d = fire_set(g, d, unburnt)
+    return tuple(d)
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def scanned_linear_system(g, d):
+    """|d| by brute force: every effective divisor of degree deg d whose
+    q-reduced form is that of d."""
+    if sum(d) < 0:
+        return []
+    target = reference_q_reduce(g, g.q, d)
+    return sorted(e for e in _compositions(sum(d), g.n)
+                  if reference_q_reduce(g, g.q, e) == target)
 
 
 def random_connected_multigraph(rng, n_max=6, m_max=10):

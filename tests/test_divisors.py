@@ -1,10 +1,24 @@
+import dataclasses
+import random
+
 import pytest
 
-from conftest import c4, complete, cycle, path, scanned_unique_source, theta
+from conftest import (
+    c4,
+    complete,
+    cycle,
+    path,
+    reference_q_reduce,
+    scanned_linear_system,
+    scanned_unique_source,
+    theta,
+)
+from toppling import divisors
 from toppling.divisors import (
     NegativeOffQ,
     acyclic_orientations_unique_source,
     dhar_burn,
+    fire_set,
     hilbert_function,
     is_q_reduced,
     laplacian_of,
@@ -141,6 +155,74 @@ class TestLinearSystem:
 
     def test_negative_degree(self):
         assert linear_system(c4(), (-1, 0, 0, 0)) == []
+
+
+def _at_every_base(graphs):
+    return [dataclasses.replace(g, q=q) for g in graphs for q in range(g.n)]
+
+
+class TestAgainstReferences:
+    """The in-place reduction and the set-firing walk against the one-fire-
+    per-round reduction and the scan over every composition."""
+
+    def test_fire_set_subtracts_laplacian(self):
+        rng = random.Random(11)
+        for g in (c4(), complete(5), theta(3), cycle(6)):
+            for _ in range(20):
+                d = tuple(rng.randint(-9, 9) for _ in range(g.n))
+                members = {v for v in range(g.n) if rng.random() < 0.5}
+                times = rng.randint(0, 4)
+                chi = tuple(int(v in members) for v in range(g.n))
+                want = tuple(a - times * x for a, x in zip(d, laplacian_of(g, chi)))
+                assert fire_set(g, d, members, times) == want
+
+    def test_q_reduce_matches_reference(self, graph_corpus):
+        rng = random.Random(12)
+        graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+        graphs += _at_every_base([cycle(5), complete(4), complete(5), theta(3)])
+        for g in graphs:
+            for _ in range(6):
+                d = tuple(rng.randint(-100, 100) for _ in range(g.n))
+                q = rng.randrange(g.n)
+                assert q_reduce(g, q, d) == reference_q_reduce(g, q, d)
+
+    def test_linear_system_matches_scan(self, graph_corpus):
+        rng = random.Random(13)
+        graphs = [build_graph(n, edges, q)
+                  for n, edges in graph_corpus if n <= 5 for q in range(n)]
+        graphs += _at_every_base([cycle(5), complete(4), complete(5), theta(3)])
+        negative = not_effective = 0
+        for g in graphs:
+            for _ in range(3):
+                d = tuple(rng.randint(-3, 4) for _ in range(g.n))
+                while sum(d) > 8:
+                    d = tuple(rng.randint(-3, 4) for _ in range(g.n))
+                got = linear_system(g, d)
+                assert got == scanned_linear_system(g, d)
+                negative += sum(d) < 0
+                not_effective += sum(d) >= 0 and not got
+        assert negative and not_effective
+
+    def test_degree_zero_not_effective(self):
+        assert linear_system(c4(), (-1, 1, 0, 0)) == []
+
+    def test_multi_fire_rounds_do_not_grow_with_chips(self, monkeypatch):
+        # -5L at q and L elsewhere on C6 reduces to 0; one firing round per
+        # chip would need about L rounds
+        real = divisors.burn_order
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(divisors, "burn_order", counting)
+        counts = []
+        for chips in (10, 10 ** 3, 10 ** 9):
+            calls.clear()
+            assert q_reduce(cycle(6), 0, (-5 * chips,) + (chips,) * 5) == (0,) * 6
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestOrientationCorrespondence:
