@@ -8,6 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import (
+    BadVertex,
     PointedGraph,
     boundary_divisor,
     digraph_is_acyclic,
@@ -99,6 +100,9 @@ def _literal(s):
 
 def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
     chain = tuple(frozenset(s) for s in chain)
+    outside = sorted(v for s in chain for v in s if not 0 <= v < g.n)
+    if outside:
+        raise BadVertex(f"vertex {outside[0] + 1} is not in the graph (vertices 1..{g.n})")
     if not chain or g.q not in chain[0]:
         raise MissingQ(f"q={g.q} not in the first set")
     for i in range(1, len(chain)):
@@ -272,7 +276,7 @@ def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
         lower = enumerate_minimal_flags(g, k - 1)
         flags = [uc for uc in _grow(g, lower)
                  if (d2 := drop_second(g, uc)) in lower.position
-                 and flag_sort_key(drop_first(g, uc)) < flag_sort_key(d2)]
+                 and flag_sort_key(drop_first(uc)) < flag_sort_key(d2)]
     basis = FlagBasis(sorted(flags, key=flag_sort_key))
     g._cache[k] = basis
     return basis
@@ -281,7 +285,7 @@ def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
 # ---------------------------------------------------------------------------
 # drops and kappa
 
-def drop_first(g: PointedGraph, uc: ConnectedFlag) -> ConnectedFlag:
+def drop_first(uc: ConnectedFlag) -> ConnectedFlag:
     if uc.k < 2:
         raise TooShort("drop_first needs k >= 2")
     return ConnectedFlag(uc.chain[1:])
@@ -475,7 +479,7 @@ def _perm_parity(delta, alpha):
     return -1 if inv % 2 else 1
 
 
-def record_sign(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord) -> int:
+def record_sign(uc: ConnectedFlag, rec: MergeRecord) -> int:
     parts = uc.parts()
     ai, aj = parts[rec.i - 1], parts[rec.j - 1]
     rest = [p for idx, p in enumerate(parts) if idx not in (rec.i - 1, rec.j - 1)]
@@ -498,7 +502,7 @@ def _records_for(g, uc, wc):
 
 def incidence_sign(g: PointedGraph, uc: ConnectedFlag, wc: ConnectedFlag) -> int:
     records = _records_for(g, uc, wc)
-    signs = {record_sign(g, uc, r) for r in records}
+    signs = {record_sign(uc, r) for r in records}
     if len(signs) != 1:
         raise FlagError("sign is ambiguous: multiple merges hit this flag")
     return signs.pop()

@@ -119,10 +119,6 @@ def boundary_divisor(g: PointedGraph, a, b):
     return tuple(d)
 
 
-def edge_count_between(g: PointedGraph, a, b) -> int:
-    return divisor_deg(boundary_divisor(g, a, b))
-
-
 # ---------------------------------------------------------------------------
 # divisor helpers (tuples of ints)
 

@@ -25,14 +25,13 @@ from .graphs import (
 )
 from .poly import (
     division_normal_form,
+    lift,
     module_term_mul,
     monomial_divides,
-    poly_add,
-    poly_monomial,
     poly_sub,
     ring_module_order,
 )
-from .resolution import BettiTable
+from .resolution import BettiTable, generator_poly
 
 
 class OracleError(ValueError):
@@ -86,7 +85,7 @@ def schreyer_step(field, basis, morder):
         ch = field.inv(basis[h][leads[h]])
         spair = poly_sub(field, module_term_mul(field, basis[f], sf, cf),
                          module_term_mul(field, basis[h], sh, ch))
-        quotients, rem = division_normal_form(field, spair, basis, morder)
+        quotients, rem = division_normal_form(field, spair, basis, morder, leads)
         if rem:
             raise NotGroebner(f"S-pair ({f},{h}) has remainder")
         syz = poly_sub(field, {(f, sf): cf, (h, sh): field.neg(ch)},
@@ -104,7 +103,8 @@ def schreyer_step(field, basis, morder):
 class SchreyerResolution:
     g: PointedGraph
     field: object
-    diffs: list               # diffs[t] = columns; a column maps row -> ring poly
+    diffs: list               # diffs[0] = the lifted basis, diffs[t] = the syzygies;
+                              # each column is a free-module element {(row, exp): coeff}
     picrep: list              # picrep[t][i] = q-reduced representative
 
     def ranks(self):
@@ -118,13 +118,10 @@ def schreyer_resolution(g: PointedGraph, gens, order, field=None) -> SchreyerRes
     if field is None:
         field = PrimeField()
     q, n = g.q, g.n
-    basis = []
-    for p in gens:
-        elem = p.poly(field) if hasattr(p, "poly") else p
-        basis.append({(0, e): c for e, c in elem.items()})
+    basis = [lift(generator_poly(field, p)) for p in gens]
     morder = ring_module_order(order)
 
-    diffs = [[{0: {e: c for (_, e), c in b.items()}} for b in basis]]
+    diffs = [basis]
     picrep = [[q_reduce(g, q, morder.leading_term(b)[1]) for b in basis]]
 
     level = 0
@@ -132,16 +129,9 @@ def schreyer_resolution(g: PointedGraph, gens, order, field=None) -> SchreyerRes
         syzygies, morder = schreyer_step(field, basis, morder)
         if not syzygies:
             break
-        cols, ps = [], []
-        for syz in syzygies:
-            col = {}
-            for (row, e), c in syz.items():
-                col[row] = poly_add(field, col.get(row, {}), poly_monomial(e, c))
-            cols.append(col)
-            lead_row, lead_exp = morder.leading_term(syz)
-            ps.append(q_reduce(g, q, divisor_add(lead_exp, picrep[level][lead_row])))
-        diffs.append(cols)
-        picrep.append(ps)
+        leads = [morder.leading_term(syz) for syz in syzygies]
+        diffs.append(syzygies)
+        picrep.append([q_reduce(g, q, divisor_add(e, picrep[level][r])) for r, e in leads])
         basis = syzygies
         level += 1
     return SchreyerResolution(g, field, diffs, picrep)
@@ -166,13 +156,13 @@ def minimalize(res: SchreyerResolution) -> BettiTable:
     for i, cols in enumerate(res.diffs, start=1):
         blocks = {}                                 # J -> {column: {row: unit}}
         for c, col in enumerate(cols):
-            for r, p in col.items():
-                if zero_exp not in p:
+            for (r, e), a in col.items():
+                if e != zero_exp:
                     continue
                 if reps[i - 1][r] != reps[i][c]:
                     raise OracleError(f"constant entry of phi_{i} at ({r},{c})"
                                       f" joins classes {reps[i - 1][r]} and {reps[i][c]}")
-                blocks.setdefault(reps[i][c], {}).setdefault(c, {})[r] = p[zero_exp]
+                blocks.setdefault(reps[i][c], {}).setdefault(c, {})[r] = a
         for cls, block in blocks.items():
             rows = sorted({r for col in block.values() for r in col})
             mat = [[col.get(r, field.zero) for col in block.values()] for r in rows]

@@ -3,8 +3,10 @@ division.
 
 A polynomial is a dict {exponent tuple: nonzero field scalar}; a free-module
 element is a dict {(basis index, exponent tuple): nonzero field scalar}.  The
-additive operations accept either.  All operations take the coefficient field
-explicitly; nothing here owns state.
+additive operations accept either.  Every column of a differential, in the
+closed-form resolution and in the Schreyer oracle, is a free-module element;
+a ring polynomial enters that format through `lift`.  All operations take the
+coefficient field explicitly; nothing here owns state.
 """
 
 from __future__ import annotations
@@ -12,11 +14,7 @@ from __future__ import annotations
 from .graphs import divisor_add, divisor_sub, zero_divisor
 
 
-def poly_monomial(exps, coeff):
-    return {tuple(exps): coeff}
-
-
-def _add_into(field, acc, p):
+def add_into(field, acc, p):
     """acc += p in place, dropping zero coefficients."""
     for key, c in p.items():
         s = field.add(acc.get(key, field.zero), c)
@@ -28,7 +26,7 @@ def _add_into(field, acc, p):
 
 def poly_add(field, p1, p2):
     out = dict(p1)
-    _add_into(field, out, p2)
+    add_into(field, out, p2)
     return out
 
 
@@ -37,6 +35,11 @@ def poly_neg(field, p):
 
 def poly_sub(field, p1, p2):
     return poly_add(field, p1, poly_neg(field, p2))
+
+
+def lift(p):
+    """The polynomial p as an element of R, the free module of rank one."""
+    return {(0, e): c for e, c in p.items()}
 
 
 def poly_term_mul(field, p, exps, scalar):
@@ -63,10 +66,6 @@ def poly_mul(field, p1, p2):
             else:
                 out[e] = s
     return out
-
-
-def poly_is_zero(p):
-    return not p
 
 
 def leading_monomial(p, order):
@@ -111,13 +110,13 @@ def ring_module_order(order):
     return ModuleOrder(order, [zero_divisor(len(order.priority))], [(0,)])
 
 
-def division_normal_form(field, elem, basis, morder):
-    """Standard representation elem = sum quotient_g * g + remainder.
+def division_normal_form(field, elem, basis, morder, leads):
+    """Standard representation elem = sum quotient_g * g + remainder, where
+    leads[i] is the lead term of basis[i] under morder.
 
     The lowest-index basis element whose lead divides the working lead is
     always chosen, so the output is deterministic.  The working lead falls
     strictly at every step, so no quotient receives one shift twice."""
-    leads = [morder.leading_term(b) for b in basis]
     quotients = [{} for _ in basis]
     remainder = {}
     work = dict(elem)
@@ -130,8 +129,8 @@ def division_normal_form(field, elem, basis, morder):
                 shift = divisor_sub(e, be)
                 factor = field.mul(lc, field.inv(basis[b_pos][leads[b_pos]]))
                 quotients[b_pos][shift] = factor
-                _add_into(field, work, module_term_mul(field, basis[b_pos], shift,
-                                                       field.neg(factor)))
+                add_into(field, work, module_term_mul(field, basis[b_pos], shift,
+                                                      field.neg(factor)))
                 break
         else:
             remainder[lt] = lc
@@ -143,10 +142,10 @@ def poly_division(field, p, divisors, order):
     """Divide p by the list of divisors; returns (quotients, remainder).
 
     The rank-one case of division_normal_form."""
-    def lift(f):
-        return {(0, e): c for e, c in f.items()}
+    basis = [lift(d) for d in divisors]
+    morder = ring_module_order(order)
     quotients, remainder = division_normal_form(
-        field, lift(p), [lift(d) for d in divisors], ring_module_order(order))
+        field, lift(p), basis, morder, [morder.leading_term(b) for b in basis])
     return quotients, {e: c for (_, e), c in remainder.items()}
 
 

@@ -26,13 +26,12 @@ from .graphs import (
     zero_divisor,
 )
 from .poly import (
+    add_into,
     division_normal_form,
     format_poly,
     leading_monomial,
-    poly_add,
-    poly_is_zero,
-    poly_monomial,
-    poly_mul,
+    lift,
+    module_term_mul,
     poly_sub,
     poly_term_mul,
     ring_module_order,
@@ -70,6 +69,11 @@ class Binomial:
         return {self.lead: field.one, self.trail: field.neg(field.one)}
 
 
+def generator_poly(field, gen):
+    """A generator, given as a Binomial or as a polynomial, as a polynomial."""
+    return gen.poly(field) if isinstance(gen, Binomial) else gen
+
+
 def groebner_basis(g: PointedGraph):
     """One binomial per S_2 flag: x^{D(U2-U1, U1)} - x^{D(U1, U2-U1)}."""
     order = bfs_term_order(g)
@@ -101,16 +105,16 @@ def buchberger_check(gens, order, field=None) -> bool:
     """True iff every S-polynomial of the list reduces to zero."""
     if field is None:
         field = PrimeField()
-    polys = [p if isinstance(p, dict) else p.poly(field) for p in gens]
+    polys = [generator_poly(field, p) for p in gens]
     # divide in R as a rank-one free module, with the basis lifted once
     morder = ring_module_order(order)
-    basis = [{(0, e): c for e, c in p.items()} for p in polys]
+    basis = [lift(p) for p in polys]
+    leads = [morder.leading_term(b) for b in basis]
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             s = spolynomial(field, polys[i], polys[j], order)
-            _, rem = division_normal_form(field, {(0, e): c for e, c in s.items()},
-                                          basis, morder)
-            if not poly_is_zero(rem):
+            _, rem = division_normal_form(field, lift(s), basis, morder, leads)
+            if rem:
                 return False
     return True
 
@@ -124,7 +128,8 @@ class FreeResolution:
     field: object
     order: TermOrder
     bases: list               # bases[t] = FlagBasis of S_{t+2}
-    diffs: list               # diffs[t] = list of columns; a column maps row -> poly
+    diffs: list               # diffs[t] = columns, each a free-module element
+                              # {(row, exponent): coeff} over F_{t-1} (R for t = 0)
 
     def ranks(self):
         return [len(b) for b in self.bases]
@@ -137,14 +142,9 @@ def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeRes
         raise ValueError(variant)
     order = bfs_term_order(g)
     bases = [enumerate_minimal_flags(g, k) for k in range(2, g.n + 1)]
-    diffs = []
-    # phi_0: generators as single-row columns
-    gens = groebner_basis(g)
-    cols0 = []
-    for b in gens:
-        p = b.poly(field) if variant == "binomial" else poly_monomial(b.lead, field.one)
-        cols0.append({0: p})
-    diffs.append(cols0)
+    # phi_0: the generators lifted to row 0 of R
+    diffs = [[lift(b.poly(field)) if variant == "binomial" else {(0, b.lead): field.one}
+              for b in groebner_basis(g)]]
     for t in range(1, len(bases)):
         lower = bases[t - 1]
         cols = []
@@ -153,12 +153,10 @@ def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeRes
             for rec in merge_records(g, uc):
                 if variant == "monomial" and rec.from_reversal:
                     continue
-                row = lower.position[rec.flag]
-                sgn = record_sign(g, uc, rec)
-                coeff = field.one if sgn > 0 else field.neg(field.one)
-                term = poly_monomial(record_theta(g, uc, rec), coeff)
-                col[row] = poly_add(field, col.get(row, {}), term)
-            cols.append({r: p for r, p in col.items() if not poly_is_zero(p)})
+                coeff = field.one if record_sign(uc, rec) > 0 else field.neg(field.one)
+                add_into(field, col, {(lower.position[rec.flag],
+                                       record_theta(g, uc, rec)): coeff})
+            cols.append(col)
         diffs.append(cols)
     res = FreeResolution(g, field, order, bases, diffs)
     bad = _first_composition_failure(res)
@@ -170,25 +168,28 @@ def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeRes
     return res
 
 
-def _first_composition_failure(res: FreeResolution):
+def _first_composition_failure(res):
+    """phi_{t-1} . phi_t = 0 for every t, on a FreeResolution or a
+    SchreyerResolution: column c of phi_t, sum a * x^e * phi_{t-1}[r] over its
+    terms, must vanish."""
     field = res.field
     for t in range(1, len(res.diffs)):
+        lower = res.diffs[t - 1]
         for c, col in enumerate(res.diffs[t]):
             acc = {}
-            for r, p in col.items():
-                for r2, p2 in res.diffs[t - 1][r].items():
-                    acc[r2] = poly_add(field, acc.get(r2, {}), poly_mul(field, p2, p))
-            for r2, p in acc.items():
-                if not poly_is_zero(p):
-                    return f"phi_{t-1} . phi_{t} nonzero at column {c}, row {r2}"
+            for (r, e), a in col.items():
+                add_into(field, acc, module_term_mul(field, lower[r], e, a))
+            if acc:
+                row = min(r2 for r2, _ in acc)
+                return f"phi_{t-1} . phi_{t} nonzero at column {c}, row {row}"
     return None
 
 
 def _first_unit_entry(res: FreeResolution):
     for t in range(1, len(res.diffs)):
         for c, col in enumerate(res.diffs[t]):
-            for r, p in col.items():
-                if any(sum(e) == 0 for e in p):
+            for r, e in col:
+                if sum(e) == 0:
                     return f"unit entry in phi_{t} at ({r},{c})"
     return None
 
@@ -261,12 +262,11 @@ def _first_lead_failure(res: FreeResolution):
     for t, (basis, cols) in enumerate(zip(res.bases, res.diffs)):
         leads = []
         for c, uc in enumerate(basis):
-            want = (res.bases[t - 1].position[drop_first(g, uc)] if t else 0,
+            want = (res.bases[t - 1].position[drop_first(uc)] if t else 0,
                     boundary_divisor(g, uc.chain[1] - uc.chain[0], uc.chain[0]))
-            col = {(r, e): a for r, p in cols[c].items() for e, a in p.items()}
-            if not col:
+            if not cols[c]:
                 return f"phi_{t} column {c} is zero"
-            r, e = morder.leading_term(col)
+            r, e = morder.leading_term(cols[c])
             if (r, e) != want:
                 return f"phi_{t} column {c}: lead ({r},{e}) != ({want[0]},{want[1]})"
             leads.append(want)
@@ -279,18 +279,14 @@ def _first_degree_failure(res: FreeResolution):
     the Pic class of basis element c of F_t.  q-reduction keeps the degree, so
     this also checks the Z-grading."""
     g, q = res.g, res.g.q
-    reps = [[q_reduce(g, q, flag_divisor(g, uc)) for uc in basis] for basis in res.bases]
-    for t in range(1, len(res.diffs)):
-        for c, col in enumerate(res.diffs[t]):
-            for r, p in col.items():
-                for e in p:
-                    if q_reduce(g, q, divisor_add(e, reps[t - 1][r])) != reps[t][c]:
-                        return f"Pic-degree clash in phi_{t} at ({r},{c})"
-    # phi_0 columns against the ring
-    for c, col in enumerate(res.diffs[0]):
-        for e in col[0]:
-            if q_reduce(g, q, e) != reps[0][c]:
-                return f"Pic-degree clash in phi_0 at column {c}"
+    # reps[t][r] = class of basis element r of F_{t-1}; F_{-1} = R has class 0
+    reps = [[zero_divisor(g.n)]] + [[q_reduce(g, q, flag_divisor(g, uc)) for uc in basis]
+                                    for basis in res.bases]
+    for t, cols in enumerate(res.diffs):
+        for c, col in enumerate(cols):
+            for r, e in col:
+                if q_reduce(g, q, divisor_add(e, reps[t][r])) != reps[t + 1][c]:
+                    return f"Pic-degree clash in phi_{t} at ({r},{c})"
     return None
 
 
@@ -342,6 +338,9 @@ def format_resolution(res: FreeResolution):
         rows = 1 if t == 0 else len(res.bases[t - 1])
         lines.append(f"phi {t} {rows} {len(cols)}")
         for c, col in enumerate(cols):
-            for r in sorted(col):
-                lines.append(f"{r} {c} {format_poly(col[r], res.order, n)}")
+            by_row = {}
+            for (r, e), a in col.items():
+                by_row.setdefault(r, {})[e] = a
+            for r in sorted(by_row):
+                lines.append(f"{r} {c} {format_poly(by_row[r], res.order, n)}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from toppling.cli import (
     parse_graph_file,
 )
 from toppling.flags import MissingQ, NotIncreasing
-from toppling.poly import poly_add, poly_monomial
+from toppling.poly import poly_add
 from toppling.resolution import CompositionNonzero, IdentityViolation
 
 C4_TEXT = """\
@@ -249,10 +249,9 @@ class TestVerify:
         # a quotient term above the S-pair's lead breaks the Schreyer lead check
         real = oracle.division_normal_form
 
-        def skewed(field, elem, basis, morder):
-            quotients, rem = real(field, elem, basis, morder)
-            quotients[0] = poly_add(field, quotients[0],
-                                    poly_monomial((9, 9, 9, 9), field.one))
+        def skewed(field, elem, basis, morder, leads):
+            quotients, rem = real(field, elem, basis, morder, leads)
+            quotients[0] = poly_add(field, quotients[0], {(9, 9, 9, 9): field.one})
             return quotients, rem
         monkeypatch.setattr(oracle, "division_normal_form", skewed)
         assert main(["verify", "--graph", c4_file, "--oracle", "schreyer"]) == 2
@@ -304,8 +303,8 @@ class TestVerify:
         def flip_first_sign():
             calls = itertools.count()
 
-            def flipped(g, uc, rec):
-                sgn = real(g, uc, rec)
+            def flipped(uc, rec):
+                sgn = real(uc, rec)
                 return -sgn if next(calls) == 0 else sgn
             monkeypatch.setattr(resolution, "record_sign", flipped)
 
@@ -353,6 +352,12 @@ class TestExitCodes:
         assert main(["betti", "--graph", c4_file, "--output", str(dest)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not dest.exists()
+
+    def test_flag_vertex_outside_graph(self, c4_file, capsys):
+        assert main(["export-dot", "--graph", c4_file,
+                     "--flag", "{1,9}<{1,2,3,4}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vertex 9" in err
 
     def test_usage_errors_exit_1(self, c4_file, capsys):
         # argparse would exit with 2, the code kept for verification failures

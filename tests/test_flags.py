@@ -6,7 +6,7 @@ import pytest
 
 from conftest import c4, complete, cycle, path, scanned_unique_source
 from toppling.divisors import q_reduce
-from toppling.graphs import PointedGraph, build_graph, indegree_divisor
+from toppling.graphs import BadVertex, PointedGraph, build_graph, indegree_divisor
 from toppling.flags import (
     BadK,
     BadPartIndex,
@@ -95,6 +95,13 @@ class TestValidate:
     def test_not_increasing(self):
         with pytest.raises(NotIncreasing):
             validate_flag(c4(), [fs(1), fs(1), fs(1, 2, 3, 4)])
+
+    def test_vertex_outside_graph(self):
+        # named 1-based, before the chain's order is looked at
+        with pytest.raises(BadVertex, match="vertex 9 "):
+            validate_flag(c4(), [fs(1, 9), fs(1, 2, 3, 4)])
+        with pytest.raises(BadVertex, match="vertex 0 "):
+            validate_flag(c4(), [fs(0, 1), fs(1, 2, 3, 4)])
 
     def test_literal_round_trip(self):
         assert u_flag().literal() == "{1} < {1,2} < {1,2,3} < {1,2,3,4}"
@@ -216,7 +223,7 @@ class TestCache:
 
 class TestDrops:
     def test_c4_drop_first(self):
-        assert drop_first(c4(), u_flag()).chain == \
+        assert drop_first(u_flag()).chain == \
             (fs(1, 2), fs(1, 2, 3), fs(1, 2, 3, 4))
 
     def test_c4_drop_second_disconnected_branch(self):
@@ -236,24 +243,24 @@ class TestDrops:
     def test_drop_order(self):
         g = c4()
         for uc in enumerate_minimal_flags(g, 4):
-            assert flag_less(drop_first(g, uc), drop_second(g, uc))
+            assert flag_less(drop_first(uc), drop_second(g, uc))
 
 
 class TestKappa:
     def test_self(self):
         g = c4()
-        u1 = drop_first(g, u_flag())
+        u1 = drop_first(u_flag())
         assert kappa(g, u1, u1) == (0, 0, 1, 0)
 
     def test_c4_drops(self):
         g = c4()
         uc = u_flag()
-        assert kappa(g, drop_first(g, uc), drop_second(g, uc)) == (0, 1, 1, 0)
+        assert kappa(g, drop_first(uc), drop_second(g, uc)) == (0, 1, 1, 0)
 
     def test_g5_drops(self):
         g = g5()
         uc = make([fs(1), fs(1, 2), fs(1, 2, 3, 4), fs(1, 2, 3, 4, 5)])
-        assert kappa(g, drop_first(g, uc), drop_second(g, uc)) == (0, 1, 1, 1, 0)
+        assert kappa(g, drop_first(uc), drop_second(g, uc)) == (0, 1, 1, 1, 0)
 
     def test_tail_mismatch(self):
         g = c4()
@@ -490,7 +497,7 @@ class TestSign:
                 parts = uc.parts()
                 ai, aj = parts[rec.i - 1], parts[rec.j - 1]
                 rest = [p for p in parts if p not in (ai, aj)]
-                sign = record_sign(g, uc, rec)
+                sign = record_sign(uc, rec)
                 for order in (sorted(rest, key=subset_key), rest[::-1]):
                     assert sign == (_perm_parity(parts, [ai, aj] + order)
                                     * _perm_parity(rec.flag.parts(), [ai | aj] + order))

@@ -12,7 +12,6 @@ from toppling.graphs import (
     boundary_divisor,
     build_graph,
     digraph_is_acyclic,
-    edge_count_between,
     induced_connected,
     total_orientations,
 )
@@ -92,16 +91,11 @@ class TestBoundaryDivisor:
 
     def test_symmetric_count(self):
         g = c4()
-        assert edge_count_between(g, {0}, {1, 2, 3}) == 2
-        assert edge_count_between(g, {1, 2, 3}, {0}) == 2
+        assert sum(boundary_divisor(g, {0}, {1, 2, 3})) == 2
+        assert sum(boundary_divisor(g, {1, 2, 3}, {0})) == 2
 
     def test_theta_count(self):
-        assert edge_count_between(theta(3), {0}, {1}) == 3
-
-    def test_degree_matches_count(self):
-        g = g5()
-        for a, b in [({0}, {1, 2}), ({0, 1}, {2, 3, 4}), ({2, 4}, {3})]:
-            assert sum(boundary_divisor(g, a, b)) == edge_count_between(g, a, b)
+        assert sum(boundary_divisor(theta(3), {0}, {1})) == 3
 
 
 class TestTermOrder:

@@ -3,8 +3,9 @@
 `assert` statements vanish under `python -O`, so a self-check that protects a
 result must raise an exception or live in a test.  The benchmark's tracer
 finds the functions it wraps by name, so a rename must fail here first.  A
-module imports only names it uses, and every top-level definition and every
-method is used somewhere, so a refactor cannot leave one behind.  The modules
+module imports only names it uses, every top-level definition and every
+method is used somewhere, and every parameter is read, so a refactor cannot
+leave one behind.  The modules
 form layers, each importing only the ones below it."""
 
 import ast
@@ -42,6 +43,31 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_no_unused_parameters():
+    # the receiver of a method is fixed by the language, and the CLI's
+    # _cmd_* handlers share the dispatch signature (g, args)
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)) or \
+                    getattr(fn, "name", "").startswith("_cmd_"):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if id(fn) in methods:
+                params = params[1:]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            unused += [f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
+                       for p in params if p not in read]
     assert unused == []
 
 

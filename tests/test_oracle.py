@@ -23,39 +23,43 @@ from toppling.oracle import (
     schreyer_resolution,
     schreyer_step,
 )
-from toppling.poly import poly_monomial
-from toppling.resolution import betti_table, groebner_basis, initial_ideal
+from toppling.poly import lift
+from toppling.resolution import (
+    _first_composition_failure,
+    betti_table,
+    groebner_basis,
+    initial_ideal,
+)
 
 
 F = get_field("prime")
 
 
-def modform(p):
-    return {(0, e): c for e, c in p.items()}
+def divide(elem, basis, morder):
+    return division_normal_form(F, elem, basis, morder,
+                                [morder.leading_term(b) for b in basis])
 
 
 def c4_setup():
     g = c4()
     order = bfs_term_order(g)
     morder = ring_module_order(order)
-    gb = [modform(b.poly(F)) for b in groebner_basis(g)]
+    gb = [lift(b.poly(F)) for b in groebner_basis(g)]
     return g, order, morder, gb
 
 
 class TestDivision:
     def test_monomial_in_initial_ideal(self):
         g, _, morder, _ = c4_setup()
-        mono = [modform(poly_monomial(e, F.one)) for e in initial_ideal(g)]
-        _, rem = division_normal_form(F, {(0, (0, 2, 0, 1)): F.one},
-                                      mono, morder)
+        mono = [{(0, e): F.one} for e in initial_ideal(g)]
+        _, rem = divide({(0, (0, 2, 0, 1)): F.one}, mono, morder)
         assert rem == {}
 
     def test_binomial_basis_gives_standard_form(self):
         # no monomial lies in the ideal itself, so the remainder is the
         # standard monomial of the same Pic class
         g, _, morder, gb = c4_setup()
-        _, rem = division_normal_form(F, {(0, (0, 2, 0, 1)): F.one},
-                                      gb, morder)
+        _, rem = divide({(0, (0, 2, 0, 1)): F.one}, gb, morder)
         assert rem == {(0, (3, 0, 0, 0)): F.one}
         assert linearly_equivalent(g, (0, 2, 0, 1), (3, 0, 0, 0))
 
@@ -63,7 +67,7 @@ class TestDivision:
         _, _, morder, gb = c4_setup()
         for d in (1, 2, 5):
             e = (d, 0, 0, 0)
-            quots, rem = division_normal_form(F, {(0, e): F.one}, gb, morder)
+            quots, rem = divide({(0, e): F.one}, gb, morder)
             assert rem == {(0, e): F.one}
             assert all(q == {} for q in quots)
 
@@ -71,7 +75,7 @@ class TestDivision:
         # elem == sum quotient_i * basis_i + remainder
         _, _, morder, gb = c4_setup()
         elem = {(0, (1, 2, 1, 0)): F.one, (0, (0, 0, 3, 1)): F.neg(F.one)}
-        quots, rem = division_normal_form(F, elem, gb, morder)
+        quots, rem = divide(elem, gb, morder)
         acc = dict(rem)
         for q, b in zip(quots, gb):
             for eq, cq in q.items():
@@ -94,14 +98,14 @@ class TestSchreyerStep:
     def test_path_koszul_syzygy(self):
         g = path(3)
         morder = ring_module_order(bfs_term_order(g))
-        gb = [modform(b.poly(F)) for b in groebner_basis(g)]
+        gb = [lift(b.poly(F)) for b in groebner_basis(g)]
         syz, _ = schreyer_step(F, gb, morder)
         assert len(syz) == 1
 
     def test_singleton_no_syzygies(self):
         g = theta(3)
         morder = ring_module_order(bfs_term_order(g))
-        gb = [modform(b.poly(F)) for b in groebner_basis(g)]
+        gb = [lift(b.poly(F)) for b in groebner_basis(g)]
         syz, _ = schreyer_step(F, gb, morder)
         assert syz == []
 
@@ -153,7 +157,7 @@ class TestChainCriterion:
                         spair.pop(key, None)
                     else:
                         spair[key] = s
-                quots, rem = division_normal_form(F, spair, gb, morder)
+                quots, rem = division_normal_form(F, spair, gb, morder, leads)
                 syz = {(f, sf): F.one, (h, sh): F.neg(F.one)}
                 for pos, quot in enumerate(quots):
                     for e, c in quot.items():
@@ -164,7 +168,7 @@ class TestChainCriterion:
                         else:
                             syz[key] = s
                 assert rem == {}
-                _, srem = division_normal_form(F, syz, pruned, new_order)
+                _, srem = divide(syz, pruned, new_order)
                 assert srem == {}
         assert count > len(pruned)  # the criterion actually pruned something
 
@@ -198,7 +202,7 @@ class TestSchreyerResolution:
     def test_monomial_input(self):
         g = complete(3)
         order = bfs_term_order(g)
-        gens = [poly_monomial(e, F.one) for e in initial_ideal(g)]
+        gens = [{e: F.one} for e in initial_ideal(g)]
         res = schreyer_resolution(g, gens, order, field=F)
         assert sorted(minimalize(res).z_graded.items()) == \
             sorted(betti_table(g).z_graded.items())
@@ -213,6 +217,32 @@ class TestSchreyerResolution:
             g, [b.poly(F) for b in groebner_basis(g)], order, field=F))
         assert bt_q.z_graded == bt_p.z_graded
         assert bt_q.pic_graded == bt_p.pic_graded
+
+
+def composition_graphs():
+    """Every corpus graph at base vertex 0, plus C5 and K4."""
+    graphs = [pytest.param(build_graph(n, list(edges), 0), id=f"corpus{i}")
+              for i, (n, edges) in enumerate(corpus())]
+    return graphs + [pytest.param(cycle(5), id="c5"), pytest.param(complete(4), id="k4")]
+
+
+class TestSchreyerComposition:
+    """The closed form's composition check reads a Schreyer resolution as it
+    is: both store each column as a free-module element."""
+
+    @pytest.mark.parametrize("g", composition_graphs())
+    def test_phi_phi_vanishes(self, g):
+        res = schreyer_resolution(g, groebner_basis(g), bfs_term_order(g), field=F)
+        assert _first_composition_failure(res) is None
+
+    def test_sign_flip_breaks_composition(self):
+        g = c4()
+        res = schreyer_resolution(g, groebner_basis(g), bfs_term_order(g), field=F)
+        col = res.diffs[1][0]
+        term = next(iter(col))
+        col[term] = F.neg(col[term])
+        assert _first_composition_failure(res).startswith(
+            "phi_0 . phi_1 nonzero at column 0,")
 
 
 def pointed_graphs():
@@ -250,8 +280,7 @@ class TestMinimalizeByTor:
         gens = [{e: int(c) * 3 for e, c in b.poly(Q).items()}
                 for b in groebner_basis(g)]
         res = schreyer_resolution(g, gens, bfs_term_order(g), field=Q)
-        entries = [c for cols in res.diffs for col in cols
-                   for p in col.values() for c in p.values()]
+        entries = [c for cols in res.diffs for col in cols for c in col.values()]
         assert entries and not any(isinstance(c, float) for c in entries)
         assert same_tables(minimalize(res), betti_table(g))
 
@@ -273,7 +302,7 @@ class TestMinimalizeByTor:
         g = path(3)
         res = SchreyerResolution(
             g, F,
-            diffs=[[{0: {(0, 2, 0): F.one}}], [{0: {(0, 0, 0): F.one}}]],
+            diffs=[[{(0, (0, 2, 0)): F.one}], [{(0, (0, 0, 0)): F.one}]],
             picrep=[[(0, 2, 0)], [(0, 1, 1)]])
         with pytest.raises(OracleError, match="joins classes"):
             minimalize(res)
@@ -282,7 +311,7 @@ class TestMinimalizeByTor:
         # phi_1 and phi_2 both carry the unit 1 at the trivial class, so
         # phi_1 . phi_2 != 0 and beta_1 would be 1 - 1 - 1
         g = path(2)
-        unit = {0: {(0, 0): F.one}}
+        unit = {(0, (0, 0)): F.one}
         res = SchreyerResolution(g, F, diffs=[[unit], [unit]],
                                  picrep=[[(0, 0)], [(0, 0)]])
         with pytest.raises(OracleError, match="beta_1 at"):

@@ -27,8 +27,6 @@ from toppling.poly import (
     monomial_divides,
     poly_add,
     poly_division,
-    poly_is_zero,
-    poly_monomial,
     poly_mul,
     poly_sub,
 )
@@ -162,8 +160,7 @@ class TestDivision:
         field = get_field("prime")
         order = bfs_term_order(g)
         divisors = [gen.poly(field) for gen in groebner_basis(g)]
-        p = poly_sub(field, poly_monomial(a, field.one),
-                     poly_monomial(b, field.one))
+        p = poly_sub(field, {a: field.one}, {b: field.one})
         quots, rem = poly_division(field, p, divisors, order)
         # no remainder term is divisible by any leading monomial
         leads = [leading_monomial(d, order) for d in divisors]
@@ -173,7 +170,7 @@ class TestDivision:
         acc = dict(rem)
         for quot, d in zip(quots, divisors):
             acc = poly_add(field, acc, poly_mul(field, quot, d))
-        assert poly_is_zero(poly_sub(field, acc, p))
+        assert not poly_sub(field, acc, p)
 
 
 class TestMergeSigns:
@@ -192,19 +189,18 @@ class TestMergeSigns:
             for r1 in merge_records(g, uc):
                 if not reversals and r1.from_reversal:
                     continue
-                s1 = record_sign(g, uc, r1)
+                s1 = record_sign(uc, r1)
                 t1 = record_theta(g, uc, r1)
                 for r2 in merge_records(g, r1.flag):
                     if not reversals and r2.from_reversal:
                         continue
-                    s2 = record_sign(g, r1.flag, r2)
+                    s2 = record_sign(r1.flag, r2)
                     t2 = record_theta(g, r1.flag, r2)
                     coeff = field.one if s1 * s2 > 0 else field.neg(field.one)
-                    term = poly_monomial(
-                        tuple(x + y for x, y in zip(t1, t2)), coeff)
+                    term = {tuple(x + y for x, y in zip(t1, t2)): coeff}
                     acc[r2.flag] = poly_add(field,
                                             acc.get(r2.flag, {}), term)
-            assert all(poly_is_zero(p) for p in acc.values())
+            assert all(not p for p in acc.values())
 
 
 class TestClassCounts:

@@ -7,7 +7,7 @@ from conftest import c4, complete, cycle, path, theta
 from toppling.fields import get_field
 from toppling.flags import flag_divisor
 from toppling.graphs import bfs_term_order, build_graph
-from toppling.poly import monomial_divides, poly_add, poly_neg
+from toppling.poly import add_into, monomial_divides
 from toppling.resolution import (
     Binomial,
     _first_composition_failure,
@@ -147,17 +147,17 @@ class TestVerify:
         res = build_resolution(c4())
         bad = copy.deepcopy(res)
         col = bad.diffs[1][0]
-        row = next(iter(col))
-        col[row] = poly_neg(bad.field, col[row])
+        term = next(iter(col))
+        col[term] = bad.field.neg(col[term])
         assert _first_composition_failure(bad).startswith(
             "phi_0 . phi_1 nonzero at column 0,")
 
     def test_degree_check_catches_corruption(self):
         res = build_resolution(c4())
         bad = copy.deepcopy(res)
-        p = next(iter(bad.diffs[1][0].values()))
-        e = next(iter(p))
-        p[(e[0] + 1,) + e[1:]] = p.pop(e)               # one more chip
+        col = bad.diffs[1][0]
+        r, e = next(iter(col))
+        col[(r, (e[0] + 1,) + e[1:])] = col.pop((r, e))  # one more chip
         rep = verify_resolution(bad)
         assert not rep.checks["degrees"]
 
@@ -165,7 +165,7 @@ class TestVerify:
         # x^(9,9,9,9) at row 0 outranks the true lead of column 0 of phi_1
         bad = copy.deepcopy(build_resolution(c4()))
         col = bad.diffs[1][0]
-        col[0] = poly_add(bad.field, col.get(0, {}), {(9, 9, 9, 9): bad.field.one})
+        add_into(bad.field, col, {(0, (9, 9, 9, 9)): bad.field.one})
         rep = verify_resolution(bad)
         assert not rep.checks["lead_terms"]
 
