@@ -17,6 +17,7 @@ from .fields import PrimeField, RationalField
 from .flags import ConnectedFlag, flag_orientation
 from .graphs import (
     PointedGraph,
+    bfs_term_order,
     divisor_add,
     divisor_max,
     divisor_sub,
@@ -111,15 +112,16 @@ class SchreyerResolution:
         return [len(cols) for cols in self.diffs]
 
 
-def schreyer_resolution(g: PointedGraph, gens, order, field=None) -> SchreyerResolution:
+def schreyer_resolution(g: PointedGraph, gens, field=None) -> SchreyerResolution:
     """Iterate schreyer_step from the given Groebner basis until the syzygy
-    module vanishes.  The basis list order at each level is the generation
-    order, which pulls back the caller's ordering of `gens`."""
+    module vanishes, in the Schreyer orders pulled back from g's BFS term
+    order.  The basis list order at each level is the generation order, which
+    pulls back the caller's ordering of `gens`."""
     if field is None:
         field = PrimeField()
     q, n = g.q, g.n
     basis = [lift(generator_poly(field, p)) for p in gens]
-    morder = ring_module_order(order)
+    morder = ring_module_order(bfs_term_order(g))
 
     diffs = [basis]
     picrep = [[q_reduce(g, q, morder.leading_term(b)[1]) for b in basis]]

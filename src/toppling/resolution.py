@@ -3,7 +3,7 @@ the ideal and of its initial ideal, Betti tables, and self-verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .divisors import PicClass, pic_class, q_reduce, hilbert_function
 from .fields import PrimeField
@@ -159,19 +159,16 @@ def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeRes
             cols.append(col)
         diffs.append(cols)
     res = FreeResolution(g, field, order, bases, diffs)
-    bad = _first_composition_failure(res)
-    if bad is not None:
-        raise CompositionNonzero(bad)
-    bad = _first_unit_entry(res)
-    if bad is not None:
-        raise UnitEntry(bad)
+    _check_composition(res)
+    _check_unit_entries(res)
     return res
 
 
-def _first_composition_failure(res):
+def _check_composition(res):
     """phi_{t-1} . phi_t = 0 for every t, on a FreeResolution or a
     SchreyerResolution: column c of phi_t, sum a * x^e * phi_{t-1}[r] over its
-    terms, must vanish."""
+    terms, must vanish.  Raises CompositionNonzero at the first column that
+    does not."""
     field = res.field
     for t in range(1, len(res.diffs)):
         lower = res.diffs[t - 1]
@@ -181,17 +178,16 @@ def _first_composition_failure(res):
                 add_into(field, acc, module_term_mul(field, lower[r], e, a))
             if acc:
                 row = min(r2 for r2, _ in acc)
-                return f"phi_{t-1} . phi_{t} nonzero at column {c}, row {row}"
-    return None
+                raise CompositionNonzero(
+                    f"phi_{t-1} . phi_{t} nonzero at column {c}, row {row}")
 
 
-def _first_unit_entry(res: FreeResolution):
+def _check_unit_entries(res: FreeResolution):
     for t in range(1, len(res.diffs)):
         for c, col in enumerate(res.diffs[t]):
             for r, e in col:
                 if sum(e) == 0:
-                    return f"unit entry in phi_{t} at ({r},{c})"
-    return None
+                    raise UnitEntry(f"unit entry in phi_{t} at ({r},{c})")
 
 
 # ---------------------------------------------------------------------------
@@ -226,34 +222,19 @@ def betti_table(g: PointedGraph) -> BettiTable:
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass
-class VerifyReport:
-    checks: dict = dc_field(default_factory=dict)     # name -> bool
-    counterexamples: dict = dc_field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
-    def record(self, name, failure):
-        self.checks[name] = failure is None
-        if failure is not None:
-            self.counterexamples[name] = failure
-
-
-def verify_resolution(res: FreeResolution) -> VerifyReport:
-    """Check the Schreyer lead terms and the gradings of a built resolution.
+def verify_resolution(res: FreeResolution):
+    """Check the Schreyer lead terms, then the gradings, of a built
+    resolution; raise LeadingTermMismatch or IdentityViolation at the first
+    failure.
 
     phi . phi = 0 and the absence of unit entries are not rechecked here:
     `build_resolution` raises CompositionNonzero or UnitEntry instead of
     returning a resolution that fails either."""
-    report = VerifyReport()
-    report.record("lead_terms", _first_lead_failure(res))
-    report.record("degrees", _first_degree_failure(res))
-    return report
+    _check_lead_terms(res)
+    _check_degrees(res)
 
 
-def _first_lead_failure(res: FreeResolution):
+def _check_lead_terms(res: FreeResolution):
     """Column U of phi_t must lead, in the Schreyer order pulled back along
     the lead terms of the levels below, with x^{D(U2-U1, U1)} at the row of
     drop_first(U) (row 0 of R for t = 0)."""
@@ -265,16 +246,16 @@ def _first_lead_failure(res: FreeResolution):
             want = (res.bases[t - 1].position[drop_first(uc)] if t else 0,
                     boundary_divisor(g, uc.chain[1] - uc.chain[0], uc.chain[0]))
             if not cols[c]:
-                return f"phi_{t} column {c} is zero"
+                raise LeadingTermMismatch(f"phi_{t} column {c} is zero")
             r, e = morder.leading_term(cols[c])
             if (r, e) != want:
-                return f"phi_{t} column {c}: lead ({r},{e}) != ({want[0]},{want[1]})"
+                raise LeadingTermMismatch(
+                    f"phi_{t} column {c}: lead ({r},{e}) != ({want[0]},{want[1]})")
             leads.append(want)
         morder = morder.pulled_back(leads)
-    return None
 
 
-def _first_degree_failure(res: FreeResolution):
+def _check_degrees(res: FreeResolution):
     """Each term of phi_t at (r, c) must carry basis element r of F_{t-1} into
     the Pic class of basis element c of F_t.  q-reduction keeps the degree, so
     this also checks the Z-grading."""
@@ -286,30 +267,17 @@ def _first_degree_failure(res: FreeResolution):
         for c, col in enumerate(cols):
             for r, e in col:
                 if q_reduce(g, q, divisor_add(e, reps[t][r])) != reps[t + 1][c]:
-                    return f"Pic-degree clash in phi_{t} at ({r},{c})"
-    return None
+                    raise IdentityViolation(f"Pic-degree clash in phi_{t} at ({r},{c})")
 
 
 # ---------------------------------------------------------------------------
 # Hilbert identity
 
-@dataclass
-class HilbertReport:
-    lhs: list
-    rhs: list
-
-    @property
-    def ok(self):
-        return self.lhs == self.rhs
-
-
-def hilbert_check(g: PointedGraph, t_max=None) -> HilbertReport:
-    """sum_i (-1)^i sum_j beta_{i,j} t^j == (1-t)^n * sum_d HF(d) t^d."""
-    if t_max is None:
-        t_max = g.m + 2
-    if t_max < g.m:
-        raise ValueError(f"t_max={t_max} below edge count {g.m}")
-    bt = betti_table(g)
+def hilbert_check(g: PointedGraph, bt: BettiTable) -> list:
+    """sum_i (-1)^i sum_j beta_{i,j} t^j == (1-t)^n * sum_d HF(d) t^d up to
+    t^(m+2), with beta read off the table `bt` of g.  Returns the checked
+    series; raises IdentityViolation if the two sides differ."""
+    t_max = g.m + 2           # every Betti degree j is at most m
     lhs = [0] * (t_max + 1)
     for (i, j), c in bt.z_graded.items():
         lhs[j] += c if i % 2 == 0 else -c
@@ -322,10 +290,9 @@ def hilbert_check(g: PointedGraph, t_max=None) -> HilbertReport:
         for e, b in enumerate(binom):
             if d + e <= t_max:
                 rhs[d + e] += h * b
-    report = HilbertReport(lhs, rhs)
-    if not report.ok:
+    if lhs != rhs:
         raise IdentityViolation(f"lhs={lhs} rhs={rhs}")
-    return report
+    return lhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -16,7 +17,8 @@ from toppling.cli import (
     parse_graph_file,
 )
 from toppling.flags import MissingQ, NotIncreasing
-from toppling.poly import poly_add
+from toppling.graphs import TermOrder, bfs_order
+from toppling.poly import add_into, poly_add
 from toppling.resolution import CompositionNonzero, IdentityViolation
 
 C4_TEXT = """\
@@ -231,15 +233,21 @@ class TestVerify:
             "complex ok\nhilbert ok\nschreyer ok\nhochster ok\nflags ok\n"
 
     def test_one_betti_table(self, c4_file, capsys, monkeypatch):
-        # the Schreyer and Hochster oracles share one table
+        # the Hilbert, Schreyer and Hochster oracles share one table, and no
+        # check builds its own inside `resolution`
         calls = []
-        real = cli.betti_table
-        monkeypatch.setattr(cli, "betti_table", lambda g: calls.append(g) or real(g))
+        real = resolution.betti_table
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+        monkeypatch.setattr(cli, "betti_table", counted)
+        monkeypatch.setattr(resolution, "betti_table", counted)
         assert main(["verify", "--graph", c4_file, "--oracle", "all"]) == 0
-        assert len(calls) <= 1
+        assert len(calls) == 1
 
     def test_internal_failure_exit_code(self, c4_file, capsys, monkeypatch):
-        def boom(g):
+        def boom(g, bt):
             raise IdentityViolation("forced")
         monkeypatch.setattr(cli, "hilbert_check", boom)
         assert main(["verify", "--graph", c4_file, "--oracle", "hilbert"]) == 2
@@ -275,10 +283,11 @@ class TestVerify:
                                            which, name):
         real = getattr(cli, name)
 
-        def failed_report(res):
-            report = resolution.VerifyReport()
-            report.record("lead_terms", "forced")
-            return report
+        def higher_lead(res):
+            # x^(9,9,9,9) at row 0 outranks the lead of column 0 of phi_1
+            bad = copy.deepcopy(res)
+            add_into(bad.field, bad.diffs[1][0], {(0, (9, 9, 9, 9)): bad.field.one})
+            return real(bad)
 
         def one_extra(sres):
             bt = real(sres)
@@ -286,7 +295,7 @@ class TestVerify:
             return bt
 
         wrong = {
-            "verify_resolution": failed_report,
+            "verify_resolution": higher_lead,
             "minimalize": one_extra,
             "hochster_betti": lambda g, i, d: -1,
             "brute_force_class_count": lambda g, k: -1,
@@ -317,6 +326,15 @@ class TestVerify:
 
 
 class TestExitCodes:
+    def test_groebner_lead_flip_exit_code(self, c4_file, capsys, monkeypatch):
+        # under the reversed BFS priority x2x3 outranks x4^2, so the basis
+        # check that the lead side leads fails: an internal failure, not bad input
+        monkeypatch.setattr(resolution, "bfs_term_order",
+                            lambda g: TermOrder(tuple(reversed(bfs_order(g, g.q)))))
+        assert main(["groebner", "--graph", c4_file]) == 2
+        err = capsys.readouterr().err
+        assert err == "verification failure: (0, 0, 0, 2) vs (0, 1, 1, 0)\n"
+
     def test_bad_divisor_length(self, c4_file, capsys):
         assert main(["reduce", "--graph", c4_file, "--divisor", "0 2 0"]) == 1
         assert "error:" in capsys.readouterr().err

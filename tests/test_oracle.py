@@ -25,7 +25,8 @@ from toppling.oracle import (
 )
 from toppling.poly import lift
 from toppling.resolution import (
-    _first_composition_failure,
+    CompositionNonzero,
+    _check_composition,
     betti_table,
     groebner_basis,
     initial_ideal,
@@ -175,15 +176,15 @@ class TestChainCriterion:
 
 class TestSchreyerResolution:
     def test_c4_minimal_from_flag_order(self):
-        g, order, _, _ = c4_setup()
-        res = schreyer_resolution(g, groebner_basis(g), order, field=F)
+        g = c4()
+        res = schreyer_resolution(g, groebner_basis(g), field=F)
         assert res.ranks() == [6, 8, 3]
 
     def test_shuffled_generators_minimalize(self):
-        g, order, _, _ = c4_setup()
+        g = c4()
         polys = [b.poly(F) for b in groebner_basis(g)]
         random.Random(7).shuffle(polys)
-        res = schreyer_resolution(g, polys, order, field=F)
+        res = schreyer_resolution(g, polys, field=F)
         assert res.ranks() != [6, 8, 3]  # Schreyer over-counts here
         bt = minimalize(res)
         assert sorted(bt.z_graded.items()) == \
@@ -191,30 +192,27 @@ class TestSchreyerResolution:
 
     def test_redundant_generator_cancels(self):
         g = path(3)
-        order = bfs_term_order(g)
         gens = [b.poly(F) for b in groebner_basis(g)]
         gens.append({(0, 0, 1): F.one, (1, 0, 0): F.neg(F.one)})  # x3 - x1
-        res = schreyer_resolution(g, gens, order, field=F)
+        res = schreyer_resolution(g, gens, field=F)
         assert res.ranks() == [3, 2]
         assert sorted(minimalize(res).z_graded.items()) == \
             [((0, 0), 1), ((1, 1), 2), ((2, 2), 1)]
 
     def test_monomial_input(self):
         g = complete(3)
-        order = bfs_term_order(g)
         gens = [{e: F.one} for e in initial_ideal(g)]
-        res = schreyer_resolution(g, gens, order, field=F)
+        res = schreyer_resolution(g, gens, field=F)
         assert sorted(minimalize(res).z_graded.items()) == \
             sorted(betti_table(g).z_graded.items())
 
     def test_rational_matches_prime(self):
         g = cycle(5)
-        order = bfs_term_order(g)
         Q = get_field("rational")
         bt_q = minimalize(schreyer_resolution(
-            g, [b.poly(Q) for b in groebner_basis(g)], order, field=Q))
+            g, [b.poly(Q) for b in groebner_basis(g)], field=Q))
         bt_p = minimalize(schreyer_resolution(
-            g, [b.poly(F) for b in groebner_basis(g)], order, field=F))
+            g, [b.poly(F) for b in groebner_basis(g)], field=F))
         assert bt_q.z_graded == bt_p.z_graded
         assert bt_q.pic_graded == bt_p.pic_graded
 
@@ -232,17 +230,18 @@ class TestSchreyerComposition:
 
     @pytest.mark.parametrize("g", composition_graphs())
     def test_phi_phi_vanishes(self, g):
-        res = schreyer_resolution(g, groebner_basis(g), bfs_term_order(g), field=F)
-        assert _first_composition_failure(res) is None
+        res = schreyer_resolution(g, groebner_basis(g), field=F)
+        _check_composition(res)
 
     def test_sign_flip_breaks_composition(self):
         g = c4()
-        res = schreyer_resolution(g, groebner_basis(g), bfs_term_order(g), field=F)
+        res = schreyer_resolution(g, groebner_basis(g), field=F)
         col = res.diffs[1][0]
         term = next(iter(col))
         col[term] = F.neg(col[term])
-        assert _first_composition_failure(res).startswith(
-            "phi_0 . phi_1 nonzero at column 0,")
+        with pytest.raises(CompositionNonzero,
+                           match=r"^phi_0 \. phi_1 nonzero at column 0,"):
+            _check_composition(res)
 
 
 def pointed_graphs():
@@ -271,7 +270,7 @@ class TestMinimalizeByTor:
             scale = Fraction(rng.choice((2, 3, -5)))
             gens.append({e: c * scale for e, c in b.poly(Q).items()})
         rng.shuffle(gens)
-        res = schreyer_resolution(g, gens, bfs_term_order(g), field=Q)
+        res = schreyer_resolution(g, gens, field=Q)
         assert same_tables(minimalize(res), betti_table(g))
 
     def test_integer_rational_generators_stay_exact(self):
@@ -279,7 +278,7 @@ class TestMinimalizeByTor:
         Q = get_field("rational")
         gens = [{e: int(c) * 3 for e, c in b.poly(Q).items()}
                 for b in groebner_basis(g)]
-        res = schreyer_resolution(g, gens, bfs_term_order(g), field=Q)
+        res = schreyer_resolution(g, gens, field=Q)
         entries = [c for cols in res.diffs for col in cols for c in col.values()]
         assert entries and not any(isinstance(c, float) for c in entries)
         assert same_tables(minimalize(res), betti_table(g))
@@ -292,7 +291,7 @@ class TestMinimalizeByTor:
         unit = rng.randrange(2, F.p)
         gens.insert(rng.randrange(len(gens) + 1),
                     {e: F.mul(c, unit) for e, c in rng.choice(gens).items()})
-        res = schreyer_resolution(g, gens, bfs_term_order(g), field=F)
+        res = schreyer_resolution(g, gens, field=F)
         assert sum(res.ranks()) > sum(betti_table(g).total(i) for i in range(1, g.n))
         assert same_tables(minimalize(res), betti_table(g))
 

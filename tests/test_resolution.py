@@ -10,7 +10,10 @@ from toppling.graphs import bfs_term_order, build_graph
 from toppling.poly import add_into, monomial_divides
 from toppling.resolution import (
     Binomial,
-    _first_composition_failure,
+    CompositionNonzero,
+    IdentityViolation,
+    LeadingTermMismatch,
+    _check_composition,
     betti_table,
     buchberger_check,
     build_resolution,
@@ -133,15 +136,14 @@ class TestBuildResolution:
 
     def test_rational_field(self):
         res = build_resolution(c4(), field=get_field("rational"))
-        assert verify_resolution(res).ok
+        assert verify_resolution(res) is None
 
 
 class TestVerify:
     @pytest.mark.parametrize("variant", ["binomial", "monomial"])
     def test_c4_passes(self, variant):
         res = build_resolution(c4(), variant=variant)
-        rep = verify_resolution(res)
-        assert rep.ok and rep.counterexamples == {}
+        assert verify_resolution(res) is None
 
     def test_sign_flip_breaks_composition(self):
         res = build_resolution(c4())
@@ -149,31 +151,34 @@ class TestVerify:
         col = bad.diffs[1][0]
         term = next(iter(col))
         col[term] = bad.field.neg(col[term])
-        assert _first_composition_failure(bad).startswith(
-            "phi_0 . phi_1 nonzero at column 0,")
+        with pytest.raises(CompositionNonzero,
+                           match=r"^phi_0 \. phi_1 nonzero at column 0,"):
+            _check_composition(bad)
 
     def test_degree_check_catches_corruption(self):
-        res = build_resolution(c4())
-        bad = copy.deepcopy(res)
+        # x2 -> 1 in a non-leading term of phi_1 column 0 leaves its lead,
+        # so only the degree check sees it
+        bad = copy.deepcopy(build_resolution(c4()))
         col = bad.diffs[1][0]
-        r, e = next(iter(col))
-        col[(r, (e[0] + 1,) + e[1:])] = col.pop((r, e))  # one more chip
-        rep = verify_resolution(bad)
-        assert not rep.checks["degrees"]
+        col[(1, (0, 0, 0, 0))] = col.pop((1, (0, 1, 0, 0)))
+        with pytest.raises(IdentityViolation,
+                           match=r"^Pic-degree clash in phi_1 at \(1,0\)$"):
+            verify_resolution(bad)
 
     def test_lead_check_catches_higher_term(self):
         # x^(9,9,9,9) at row 0 outranks the true lead of column 0 of phi_1
         bad = copy.deepcopy(build_resolution(c4()))
         col = bad.diffs[1][0]
         add_into(bad.field, col, {(0, (9, 9, 9, 9)): bad.field.one})
-        rep = verify_resolution(bad)
-        assert not rep.checks["lead_terms"]
+        with pytest.raises(LeadingTermMismatch,
+                           match=r"^phi_1 column 0: lead \(0,\(9, 9, 9, 9\)\) != "):
+            verify_resolution(bad)
 
     def test_lead_check_catches_zero_column(self):
         bad = copy.deepcopy(build_resolution(c4()))
         bad.diffs[1][0] = {}
-        rep = verify_resolution(bad)
-        assert not rep.checks["lead_terms"]
+        with pytest.raises(LeadingTermMismatch, match=r"^phi_1 column 0 is zero$"):
+            verify_resolution(bad)
 
 
 class TestBetti:
@@ -204,19 +209,25 @@ class TestBetti:
 
 class TestHilbert:
     def test_c4(self):
-        rep = hilbert_check(c4())
-        assert rep.ok
-        assert rep.lhs == [1, 0, -6, 8, -3, 0, 0]
+        g = c4()
+        assert hilbert_check(g, betti_table(g)) == [1, 0, -6, 8, -3, 0, 0]
 
     def test_path(self):
-        assert hilbert_check(path(3)).lhs == [1, -2, 1, 0, 0]
+        g = path(3)
+        assert hilbert_check(g, betti_table(g)) == [1, -2, 1, 0, 0]
 
     def test_theta3(self):
-        assert hilbert_check(theta(3)).lhs == [1, 0, 0, -1, 0, 0]
+        g = theta(3)
+        assert hilbert_check(g, betti_table(g)) == [1, 0, 0, -1, 0, 0]
 
-    def test_t_max_too_small(self):
-        with pytest.raises(ValueError):
-            hilbert_check(c4(), t_max=2)
+    def test_changed_count_raises(self):
+        g = c4()
+        bt = betti_table(g)
+        key = next(k for k in bt.pic_graded if k[0] == 2)
+        bt.pic_graded[key] += 1
+        with pytest.raises(IdentityViolation,
+                           match=r"^lhs=\[1, 0, -6, 9, -3, 0, 0\] rhs=\[1, 0, -6, 8, -3, 0, 0\]$"):
+            hilbert_check(g, bt)
 
 
 def test_format_resolution_round_numbers():
