@@ -3,7 +3,8 @@ matrices, and DOT figures.
 
 Exit codes: 0 success, 1 validation/parse failure, 2 internal verification
 failure.  Every self-check raises a `resolution.ResolutionError` or an
-`oracle.OracleError` with its first failure, and `main` maps those two base
+`oracle.OracleError` with its first failure, a merge of the closed form that
+misses S_{k-1} raises a `flags.MergeError`, and `main` maps those three base
 classes, and only those, to exit 2.
 """
 
@@ -21,6 +22,7 @@ from .divisors import (
 )
 from .fields import get_field
 from .flags import (
+    MergeError,
     enumerate_minimal_flags,
     flag_orientation,
     validate_flag,
@@ -359,7 +361,7 @@ def main(argv=None):
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ResolutionError, OracleError) as exc:
+    except (ResolutionError, OracleError, MergeError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

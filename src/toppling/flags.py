@@ -5,13 +5,13 @@ contraction, o_j reversals, merges, incidence signs and theta exponents."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .graphs import (
     BadVertex,
     PointedGraph,
     boundary_divisor,
-    digraph_is_acyclic,
     divisor_add,
     divisor_max,
     induced_connected,
@@ -56,10 +56,6 @@ class TooShort(FlagError):
 
 
 class TailMismatch(FlagError):
-    pass
-
-
-class NotMinimalRep(FlagError):
     pass
 
 
@@ -176,7 +172,7 @@ def _chain_arcs(g: PointedGraph, parts):
     for u, v in g.adjacent_pairs():
         pu, pv = pidx[u], pidx[v]
         if pu != pv:
-            arcs.add((min(pu, pv), max(pu, pv)))
+            arcs.add((pu, pv) if pu < pv else (pv, pu))
     return arcs
 
 
@@ -211,10 +207,14 @@ def reversal_orientation(g: PointedGraph, uc: ConnectedFlag, j):
 
 
 def _oj_arcs(g: PointedGraph, parts, j):
-    """o_j: flip, in turn, all arcs between A_1..A_j and their complements,
-    so an arc ends up flipped iff exactly one of its ends is below j."""
-    return {(b, a) if (a < j) != (b < j) else (a, b)
-            for a, b in _chain_arcs(g, parts)}
+    return _reversed_arcs(_chain_arcs(g, parts), j)
+
+
+def _reversed_arcs(arcs, j):
+    """o_j of the arcs of G(U): flip, in turn, all arcs between A_1..A_j and
+    their complements, so an arc ends up flipped iff exactly one of its ends
+    is below j."""
+    return {(b, a) if (a < j) != (b < j) else (a, b) for a, b in arcs}
 
 
 # ---------------------------------------------------------------------------
@@ -346,39 +346,40 @@ def pullback_flag(g: PointedGraph, vertex_map, vc_prime: ConnectedFlag) -> Conne
 # ---------------------------------------------------------------------------
 # merges
 
+class MergeError(RuntimeError):
+    """The closed form failed on a flag of S_k: a merge's target is not in
+    S_{k-1}, or a quotient that must be acyclic has a cycle.  A failure of
+    the library, not of its input."""
+
+
 @dataclass(frozen=True)
 class MergeRecord:
     """Merge of parts (A_i, A_j) of a flag; i, j are 1-based part indices.
-    i < j is a merge inside G(U); i > j a merge inside o_j(U)."""
+    i < j is a merge inside G(U); i > j a merge inside o_j(U).  `parity` is
+    the sign of the permutation carrying the parts of `flag` to
+    (A_i | A_j, then the other parts of U in order)."""
 
     i: int
     j: int
     flag: ConnectedFlag
     from_reversal: bool
+    parity: int
 
 
 def _fuse(parts, a, b):
     """New part list with parts a and b fused (kept at position min(a,b))
-    plus the old->new index map."""
+    plus the old->new index map, as a list."""
     lo, hi = min(a, b), max(a, b)
-    new_parts = []
-    old_to_new = {}
-    for idx, part in enumerate(parts):
-        if idx == hi:
-            continue
-        if idx == lo:
-            new_parts.append(parts[lo] | parts[hi])
-        else:
-            new_parts.append(part)
-        old_to_new[idx] = len(new_parts) - 1
-    old_to_new[hi] = old_to_new[lo]
+    new_parts = [*parts[:lo], parts[lo] | parts[hi], *parts[lo + 1:hi], *parts[hi + 1:]]
+    old_to_new = [x - (x > hi) for x in range(len(parts))]
+    old_to_new[hi] = lo
     return new_parts, old_to_new
 
 
 def _quotient_arcs(arcs, old_to_new, drop_pair):
     out = set()
     for a, b in arcs:
-        if frozenset((a, b)) == drop_pair:
+        if a in drop_pair and b in drop_pair:
             continue
         na, nb = old_to_new[a], old_to_new[b]
         if na != nb:
@@ -386,32 +387,62 @@ def _quotient_arcs(arcs, old_to_new, drop_pair):
     return out
 
 
-def _merge_target(parts, arcs, a, b, basis):
-    """Minimal S_{k-1} representative for fusing parts a, b (0-based) of the
-    part-level orientation `arcs`, or None when the merge is not acyclic."""
+def _merge_target(parts, keys, arcs, a, b, basis):
+    """(W, parity) for fusing parts a, b (0-based) joined by an arc of the
+    part-level orientation `arcs` that has no detour: W is the S_{k-1}
+    representative of the fused orientation, and parity is the sign of the
+    permutation carrying the parts of W to (A_a | A_b, the rest in order).
+    keys[x] is (size, -least vertex) of parts[x]."""
     new_parts, old_to_new = _fuse(parts, a, b)
-    qarcs = _quotient_arcs(arcs, old_to_new, frozenset((a, b)))
-    if not digraph_is_acyclic(len(new_parts), qarcs):
-        return None
-    qarcs = _realigned_arcs(qarcs)
-    idx = basis.position.get(_least_flag(new_parts, qarcs))
+    qarcs = _realigned_arcs(_quotient_arcs(arcs, old_to_new, frozenset((a, b))))
+    lo, hi = min(a, b), max(a, b)
+    new_keys = keys[:hi] + keys[hi + 1:]
+    new_keys[lo] = (keys[lo][0] + keys[hi][0], max(keys[lo][1], keys[hi][1]))
+    flag, order = _least_flag(new_parts, qarcs,
+                              sorted(range(len(new_keys)), key=new_keys.__getitem__))
+    idx = basis.position.get(flag)
     if idx is None:
-        raise NotMinimalRep("merged orientation has no class representative")
-    return basis.flags[idx]
+        raise MergeError(f"merged orientation {sorted(qarcs)} has no class representative")
+    # moving the fused part (new index lo) to the front takes lo transpositions
+    return basis.flags[idx], (-1) ** lo * _parity(order)
 
 
-def _least_flag(parts, arcs):
-    """The <_k-least flag whose parts, in order, run along the acyclic `arcs`:
-    <_k compares from the top level down, so peel, level by level, the sink
-    part whose removal leaves the subset_key-least prefix."""
-    left = set(range(len(parts)))
-    chain = [frozenset().union(*parts)]
-    while len(left) > 1:
-        sinks = [x for x in left if not any(t == x and h in left for t, h in arcs)]
-        x = min(sinks, key=lambda y: subset_key(chain[-1] - parts[y]))
-        left.remove(x)
-        chain.append(chain[-1] - parts[x])
-    return ConnectedFlag(tuple(reversed(chain)))
+def _parity(seq):
+    """Sign of the permutation listed by seq: one inversion per earlier,
+    larger entry."""
+    seen = inv = 0
+    for x in seq:
+        inv += (seen >> x).bit_count()
+        seen |= 1 << x
+    return -1 if inv % 2 else 1
+
+
+def _least_flag(parts, arcs, rank):
+    """The <_k-least flag whose parts, in order, run along the acyclic `arcs`,
+    with the indices of `parts` in its order.  <_k compares from the top
+    level down, so peel, level by level, the sink part P that leaves the
+    subset_key-least prefix C - P.  That is the smallest sink and, among
+    sinks of one size, the one whose least vertex is largest (the parts are
+    disjoint, so the other prefix keeps that vertex): the first sink in
+    `rank`, the part indices sorted by (size, -least vertex)."""
+    k = len(parts)
+    out = [0] * k
+    for t, h in arcs:
+        out[t] |= 1 << h
+    left = (1 << k) - 1
+    order = []
+    for _ in range(k - 1):
+        for x in rank:
+            if left >> x & 1 and not out[x] & left:
+                break
+        else:
+            raise MergeError(f"cyclic orientation {sorted(arcs)}: no sink left")
+        left ^= 1 << x
+        order.append(x)
+    order.append(left.bit_length() - 1)
+    order.reverse()
+    return ConnectedFlag(tuple(itertools.accumulate([parts[x] for x in order],
+                                                    operator.or_))), order
 
 
 def _realigned_arcs(arcs):
@@ -423,7 +454,7 @@ def _realigned_arcs(arcs):
     degree sequences in digraphs and a cycle-cocycle reversing system, 2007;
     Benson-Chakrabarty-Tetali, G-parking functions, acyclic orientations and
     spanning trees, 2010), so one already of that form comes back unchanged.
-    FlagError: node 0 is left with an incoming arc, so `arcs` had a cycle."""
+    MergeError: node 0 is left with an incoming arc, so `arcs` had a cycle."""
     arcs = set(arcs)
     while True:
         heads = {h for _, h in arcs}
@@ -433,30 +464,50 @@ def _realigned_arcs(arcs):
         x = min(sources)
         arcs = {(h, t) if t == x else (t, h) for t, h in arcs}
     if 0 in heads:
-        raise FlagError(f"cyclic orientation {sorted(arcs)}: node 0 has an incoming arc")
+        raise MergeError(f"cyclic orientation {sorted(arcs)}: node 0 has an incoming arc")
     return arcs
 
 
 def merge_records(g: PointedGraph, uc: ConnectedFlag):
     """All members of B(U) with their (i, j) provenance; I(U) is the i < j
-    sublist.  Needs uc in S_k with k >= 3 (k = 2 merges only hit the 1-flag)."""
+    sublist.  Needs uc in S_k with k >= 3 (k = 2 merges only hit the 1-flag).
+
+    A merge fuses the ends of an arc a -> b (0-based parts) of G(U), a < b,
+    or of o_j(U), a >= j = b + 1.  It counts iff the quotient stays acyclic,
+    that is iff no other path runs from a to b: a cycle through the fused
+    part leaves it by another arc and comes back, and it can neither leave
+    from b nor come back to a without a cycle before the fuse.  Both tests
+    read the ancestor masks of G(U), so only the kept merges are fused:
+    - G(U) runs up the part order, so another path exists iff a has a
+      successor among the ancestors of b;
+    - o_j(U) runs up within 0..j-1 and within j..k-1, and down from j..k-1
+      to 0..j-1, so a path from a climbs the upper parts, steps down once
+      and climbs to b; another path exists iff a steps down into an ancestor
+      of b, or a part that a climbs to is adjacent to b or to one of them."""
     k = uc.k
     parts = uc.parts()
     basis = enumerate_minimal_flags(g, k - 1)
-    adjacent = _chain_arcs(g, parts)   # G(U): (a, b) with a < b
+    keys = [(len(p), -min(p)) for p in parts]
+    adjacent = sorted(_chain_arcs(g, parts))    # G(U): (a, b) with a < b
+    adj = [0] * k       # the parts adjacent to part a
+    anc = [0] * k       # the parts with a path to part b in G(U)
+    for a, b in adjacent:       # sorted, so anc[a] is complete here
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        anc[b] |= anc[a] | 1 << a
+    climb = [0] * k     # the parts adjacent to a part that a reaches in G(U)
+    for a, b in reversed(adjacent):     # climb[b] is complete here
+        climb[a] |= climb[b] | adj[b]
     records = []
-    for a, b in sorted(adjacent):
-        target = _merge_target(parts, adjacent, a, b, basis)
-        if target is not None:
-            records.append(MergeRecord(a + 1, b + 1, target, False))
-    for b in range(k - 1):          # 0-based j-1: merge inside o_{b+1}(U)
-        arcs = _oj_arcs(g, parts, b + 1)
-        for a in range(b + 1, k):   # 0-based i-1 with i > j
-            if (b, a) not in adjacent:
-                continue
-            target = _merge_target(parts, arcs, a, b, basis)
-            if target is not None:
-                records.append(MergeRecord(a + 1, b + 1, target, True))
+    for a, b in adjacent:
+        if not (adj[a] & anc[b]) >> (a + 1):
+            flag, parity = _merge_target(parts, keys, adjacent, a, b, basis)
+            records.append(MergeRecord(a + 1, b + 1, flag, False, parity))
+    for b, a in adjacent:
+        if not (adj[a] | climb[a]) & anc[b] and not climb[a] >> b & 1:
+            flag, parity = _merge_target(parts, keys, _reversed_arcs(adjacent, b + 1),
+                                         a, b, basis)
+            records.append(MergeRecord(a + 1, b + 1, flag, True, parity))
     return records
 
 
@@ -470,27 +521,20 @@ def merge_sets(g: PointedGraph, uc: ConnectedFlag):
     return i_set, b_set
 
 
-def _perm_parity(delta, alpha):
-    """Sign of the permutation carrying the part sequence delta to alpha."""
-    pos = {part: idx for idx, part in enumerate(delta)}
-    seq = [pos[part] for part in alpha]
-    inv = sum(1 for x in range(len(seq)) for y in range(x + 1, len(seq))
-              if seq[x] > seq[y])
-    return -1 if inv % 2 else 1
-
-
-def record_sign(uc: ConnectedFlag, rec: MergeRecord) -> int:
-    parts = uc.parts()
-    ai, aj = parts[rec.i - 1], parts[rec.j - 1]
-    rest = [p for idx, p in enumerate(parts) if idx not in (rec.i - 1, rec.j - 1)]
-    delta_w = rec.flag.parts()
-    return (_perm_parity(parts, [ai, aj] + rest)
-            * _perm_parity(delta_w, [ai | aj] + rest))
+def record_sign(rec: MergeRecord) -> int:
+    """The sign of the permutation carrying A_1..A_k to (A_i, A_j, the rest
+    in order), which takes i - 1 + j - 1 transpositions less one when i < j,
+    times the record's parity."""
+    return (-1 if (rec.i + rec.j - (rec.i < rec.j)) % 2 else 1) * rec.parity
 
 
 def record_theta(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord):
-    parts = uc.parts()
-    return boundary_divisor(g, parts[rec.j - 1], parts[rec.i - 1])
+    return boundary_divisor(g, _part(uc, rec.j - 1), _part(uc, rec.i - 1))
+
+
+def _part(uc: ConnectedFlag, x):
+    """Part A_{x+1} of uc."""
+    return uc.chain[x] - uc.chain[x - 1] if x else uc.chain[0]
 
 
 def _records_for(g, uc, wc):
@@ -502,7 +546,7 @@ def _records_for(g, uc, wc):
 
 def incidence_sign(g: PointedGraph, uc: ConnectedFlag, wc: ConnectedFlag) -> int:
     records = _records_for(g, uc, wc)
-    signs = {record_sign(uc, r) for r in records}
+    signs = {record_sign(r) for r in records}
     if len(signs) != 1:
         raise FlagError("sign is ambiguous: multiple merges hit this flag")
     return signs.pop()

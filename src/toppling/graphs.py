@@ -7,6 +7,7 @@ configuration and as a monomial exponent vector.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -44,9 +45,10 @@ class PointedGraph:
     n: int
     mult: tuple[tuple[int, ...], ...]  # symmetric, zero diagonal
     q: int
-    # computed once per object: flag bases by k, and BFS orders by
-    # ("bfs", start); init=False: dataclasses.replace(g, q=...) starts empty,
-    # as bases depend on q; compare=False: == and hash stay on (n, mult, q)
+    # computed once per object: flag bases by k, BFS orders by
+    # ("bfs", start) and the adjacent pairs by "pairs"; init=False:
+    # dataclasses.replace(g, q=...) starts empty, as bases depend on q;
+    # compare=False: == and hash stay on (n, mult, q)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -62,8 +64,10 @@ class PointedGraph:
 
     def adjacent_pairs(self):
         """Sorted (u, v) pairs with u < v and at least one edge."""
-        return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                if self.mult[u][v]]
+        if "pairs" not in self._cache:
+            self._cache["pairs"] = tuple((u, v) for u in range(self.n)
+                                         for v in range(u + 1, self.n) if self.mult[u][v])
+        return self._cache["pairs"]
 
 
 def build_graph(n, edges, q) -> PointedGraph:
@@ -131,7 +135,7 @@ def divisor_deg(d) -> int:
 
 
 def divisor_add(d1, d2):
-    return tuple(a + b for a, b in zip(d1, d2))
+    return tuple(map(operator.add, d1, d2))
 
 
 def divisor_sub(d1, d2):
@@ -205,21 +209,3 @@ def total_orientations(g: PointedGraph):
     return [frozenset((u, v) if bits >> idx & 1 else (v, u)
                       for idx, (u, v) in enumerate(pairs))
             for bits in range(1 << len(pairs))]
-
-
-def digraph_is_acyclic(node_count: int, arcs) -> bool:
-    out = [[] for _ in range(node_count)]
-    indeg = [0] * node_count
-    for t, h in arcs:
-        out[t].append(h)
-        indeg[h] += 1
-    todo = deque(v for v in range(node_count) if indeg[v] == 0)
-    seen = 0
-    while todo:
-        u = todo.popleft()
-        seen += 1
-        for v in out[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                todo.append(v)
-    return seen == node_count

@@ -31,7 +31,6 @@ from .poly import (
     format_poly,
     leading_monomial,
     lift,
-    module_term_mul,
     poly_sub,
     poly_term_mul,
     ring_module_order,
@@ -153,7 +152,7 @@ def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeRes
             for rec in merge_records(g, uc):
                 if variant == "monomial" and rec.from_reversal:
                     continue
-                coeff = field.one if record_sign(uc, rec) > 0 else field.neg(field.one)
+                coeff = field.one if record_sign(rec) > 0 else field.neg(field.one)
                 add_into(field, col, {(lower.position[rec.flag],
                                        record_theta(g, uc, rec)): coeff})
             cols.append(col)
@@ -168,18 +167,24 @@ def _check_composition(res):
     """phi_{t-1} . phi_t = 0 for every t, on a FreeResolution or a
     SchreyerResolution: column c of phi_t, sum a * x^e * phi_{t-1}[r] over its
     terms, must vanish.  Raises CompositionNonzero at the first column that
-    does not."""
+    does not.
+
+    The coefficients of both fields are Python numbers whose + and * map onto
+    the field's (PrimeField keeps residues, RationalField Fractions), so each
+    (row, monomial) sums its products exactly before one is_zero test."""
     field = res.field
     for t in range(1, len(res.diffs)):
         lower = res.diffs[t - 1]
         for c, col in enumerate(res.diffs[t]):
             acc = {}
             for (r, e), a in col.items():
-                add_into(field, acc, module_term_mul(field, lower[r], e, a))
-            if acc:
-                row = min(r2 for r2, _ in acc)
+                for (i, f), b in lower[r].items():
+                    key = (i, divisor_add(e, f))
+                    acc[key] = acc.get(key, 0) + a * b
+            rows = [i for (i, _), s in acc.items() if not field.is_zero(s)]
+            if rows:
                 raise CompositionNonzero(
-                    f"phi_{t-1} . phi_{t} nonzero at column {c}, row {row}")
+                    f"phi_{t-1} . phi_{t} nonzero at column {c}, row {min(rows)}")
 
 
 def _check_unit_entries(res: FreeResolution):

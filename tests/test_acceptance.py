@@ -522,12 +522,12 @@ def test_criterion_6_flag_calculus_identities():
                     for r1 in merge_records(g, uc):
                         if not reversals and r1.from_reversal:
                             continue
-                        s1 = record_sign(uc, r1)
+                        s1 = record_sign(r1)
                         t1 = record_theta(g, uc, r1)
                         for r2 in merge_records(g, r1.flag):
                             if not reversals and r2.from_reversal:
                                 continue
-                            s = s1 * record_sign(r1.flag, r2)
+                            s = s1 * record_sign(r2)
                             e = divisor_add(t1, record_theta(g, r1.flag, r2))
                             term = {e: field.one if s > 0 else
                                     field.neg(field.one)}

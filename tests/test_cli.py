@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toppling import cli, oracle, resolution
+from toppling import cli, flags, oracle, resolution
 from toppling.cli import (
     ParseError,
     format_divisor,
@@ -312,8 +312,8 @@ class TestVerify:
         def flip_first_sign():
             calls = itertools.count()
 
-            def flipped(uc, rec):
-                sgn = real(uc, rec)
+            def flipped(rec):
+                sgn = real(rec)
                 return -sgn if next(calls) == 0 else sgn
             monkeypatch.setattr(resolution, "record_sign", flipped)
 
@@ -326,6 +326,18 @@ class TestVerify:
 
 
 class TestExitCodes:
+    def test_merge_off_basis_exit_code(self, c4_file, capsys, monkeypatch):
+        # a merged flag outside S_{k-1} is a failure of the closed form, not
+        # bad input
+        real = flags._least_flag
+
+        def off_basis(parts, arcs, rank):
+            flag, order = real(parts, arcs, rank)
+            return flags.ConnectedFlag(flag.chain[::-1]), order
+        monkeypatch.setattr(flags, "_least_flag", off_basis)
+        assert main(["resolution", "--graph", c4_file]) == 2
+        assert "has no class representative" in capsys.readouterr().err
+
     def test_groebner_lead_flip_exit_code(self, c4_file, capsys, monkeypatch):
         # under the reversed BFS priority x2x3 outranks x4^2, so the basis
         # check that the lead side leads fails: an internal failure, not bad input

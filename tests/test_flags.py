@@ -4,15 +4,16 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import c4, complete, cycle, path, scanned_unique_source
+from conftest import c4, complete, cycle, digraph_is_acyclic, path, scanned_unique_source
+from toppling import flags
 from toppling.divisors import q_reduce
 from toppling.graphs import BadVertex, PointedGraph, build_graph, indegree_divisor
 from toppling.flags import (
     BadK,
     BadPartIndex,
     ConnectedFlag,
-    FlagError,
     LengthMismatch,
+    MergeError,
     MissingQ,
     NotAFlag,
     NotIncreasing,
@@ -42,10 +43,11 @@ from toppling.flags import (
     subset_key,
     theta,
     validate_flag,
+    _chain_arcs,
     _expand_arcs,
     _fuse,
+    _least_flag,
     _oj_arcs,
-    _perm_parity,
     _quotient_arcs,
     _realigned_arcs,
 )
@@ -422,6 +424,29 @@ def records_of(g):
                 yield uc, rec
 
 
+def peeled_least_flag(parts, arcs):
+    """The <_k-least flag along the acyclic part-level `arcs`, by the rule
+    itself: peel, level by level, the sink whose removal leaves the
+    subset_key-least prefix."""
+    left = set(range(len(parts)))
+    chain = [frozenset().union(*parts)]
+    while len(left) > 1:
+        sinks = [x for x in left if not any(t == x and h in left for t, h in arcs)]
+        x = min(sinks, key=lambda y: subset_key(chain[-1] - parts[y]))
+        left.remove(x)
+        chain.append(chain[-1] - parts[x])
+    return ConnectedFlag(tuple(reversed(chain)))
+
+
+def perm_parity(delta, alpha):
+    """Sign of the permutation carrying the part sequence delta to alpha."""
+    pos = {part: idx for idx, part in enumerate(delta)}
+    seq = [pos[part] for part in alpha]
+    inv = sum(1 for x in range(len(seq)) for y in range(x + 1, len(seq))
+              if seq[x] > seq[y])
+    return -1 if inv % 2 else 1
+
+
 def scanned_arcs(g, new_parts, qarcs, qnode):
     """The realignment by brute force: scan every unique-source acyclic
     orientation of the quotient graph for indegree divisor E + 1."""
@@ -461,6 +486,52 @@ class TestDropRuleGenerator:
         assert min(checked.values()) > 1000
 
 
+class TestMergeSearch:
+    def test_detours_match_acyclic_quotients(self, graph_corpus):
+        # every merge attempt of both kinds is kept iff fusing its parts
+        # leaves the quotient acyclic; o_0(U) is G(U)
+        rejected = {False: 0, True: 0}
+        for g in [*corpus_and_families(graph_corpus), complete(6), grid_2x3()]:
+            for k in range(3, g.n + 1):
+                for uc in enumerate_minimal_flags(g, k):
+                    parts = uc.parts()
+                    adjacent = sorted(_chain_arcs(g, parts))
+                    attempts = [(a, b, 0) for a, b in adjacent]
+                    attempts += [(a, b, b + 1) for b, a in adjacent]
+                    kept = set()
+                    for a, b, j in attempts:
+                        _, old_to_new = _fuse(parts, a, b)
+                        qarcs = _quotient_arcs(_oj_arcs(g, parts, j), old_to_new,
+                                               frozenset((a, b)))
+                        if digraph_is_acyclic(k - 1, qarcs):
+                            kept.add((a + 1, b + 1, j > 0))
+                        else:
+                            rejected[j > 0] += 1
+                    assert {(r.i, r.j, r.from_reversal)
+                            for r in merge_records(g, uc)} == kept
+        assert min(rejected.values()) > 1000
+
+    def test_least_flag_by_rank_matches_peel(self, graph_corpus, monkeypatch):
+        # one peel per record, and each equals the subset_key peel
+        peels = []
+        real = flags._least_flag
+
+        def spy(parts, arcs, rank):
+            peels.append((parts, arcs, real(parts, arcs, rank)))
+            return peels[-1][2]
+        monkeypatch.setattr(flags, "_least_flag", spy)
+        records = sum(1 for g in corpus_and_families(graph_corpus) for _ in records_of(g))
+        assert len(peels) == records > 1000
+        for parts, arcs, (flag, order) in peels:
+            assert flag == peeled_least_flag(parts, arcs)
+            assert flag.parts() == tuple(parts[x] for x in order)
+
+    def test_cyclic_peel_raises(self):
+        # nodes 1 and 2 point at each other, and node 0 at node 1: no sink
+        with pytest.raises(MergeError):
+            _least_flag([fs(1), fs(2), fs(3)], {(0, 1), (1, 2), (2, 1)}, [0, 1, 2])
+
+
 class TestRealign:
     def test_pushes_match_scan(self, graph_corpus):
         checked = 0
@@ -486,7 +557,7 @@ class TestRealign:
     def test_cyclic_quotient_raises(self):
         # arcs 0->1->2->0: no node off 0 is a source, so nothing is pushed
         # and node 0 keeps its incoming arc 2->0
-        with pytest.raises(FlagError):
+        with pytest.raises(MergeError):
             _realigned_arcs({(0, 1), (1, 2), (2, 0)})
 
 
@@ -497,7 +568,7 @@ class TestSign:
                 parts = uc.parts()
                 ai, aj = parts[rec.i - 1], parts[rec.j - 1]
                 rest = [p for p in parts if p not in (ai, aj)]
-                sign = record_sign(uc, rec)
+                sign = record_sign(rec)
                 for order in (sorted(rest, key=subset_key), rest[::-1]):
-                    assert sign == (_perm_parity(parts, [ai, aj] + order)
-                                    * _perm_parity(rec.flag.parts(), [ai | aj] + order))
+                    assert sign == (perm_parity(parts, [ai, aj] + order)
+                                    * perm_parity(rec.flag.parts(), [ai | aj] + order))

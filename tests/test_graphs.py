@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import c4, complete, path, theta
+from conftest import c4, complete, digraph_is_acyclic, path, theta
 from toppling.graphs import (
     BadVertex,
     Disconnected,
@@ -11,7 +11,6 @@ from toppling.graphs import (
     bfs_term_order,
     boundary_divisor,
     build_graph,
-    digraph_is_acyclic,
     induced_connected,
     total_orientations,
 )

@@ -189,12 +189,12 @@ class TestMergeSigns:
             for r1 in merge_records(g, uc):
                 if not reversals and r1.from_reversal:
                     continue
-                s1 = record_sign(uc, r1)
+                s1 = record_sign(r1)
                 t1 = record_theta(g, uc, r1)
                 for r2 in merge_records(g, r1.flag):
                     if not reversals and r2.from_reversal:
                         continue
-                    s2 = record_sign(r1.flag, r2)
+                    s2 = record_sign(r2)
                     t2 = record_theta(g, r1.flag, r2)
                     coeff = field.one if s1 * s2 > 0 else field.neg(field.one)
                     term = {tuple(x + y for x, y in zip(t1, t2)): coeff}

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -235,3 +236,42 @@ def test_format_resolution_round_numbers():
     assert "phi 0 1 6" in text
     assert "phi 1 6 8" in text
     assert "phi 2 8 3" in text
+
+
+def grid_2x3(q):
+    return build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], q)
+
+
+GOLDEN_FAMILIES = {
+    "C5": lambda q: build_graph(5, [(i, (i + 1) % 5) for i in range(5)], q),
+    "K5": lambda q: build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)], q),
+    "grid2x3": grid_2x3,
+    "banana5": lambda q: build_graph(2, [(0, 1)] * 5, q),
+}
+
+# SHA-256 of format_resolution, pinned before the merge search moved to
+# reach masks: the output must not change by a byte
+GOLDEN_DIGESTS = {
+    ("C5", 0, "binomial"): "d7adbd8052afbc71e6b138ba3ba5e43369bcd801b0302d28ee55880002a93741",
+    ("C5", 0, "monomial"): "3d7c1a1e6fc7bee5765964b69d4df3b0d98adb50cbc65d304cb4bfb62527a78a",
+    ("K5", 0, "binomial"): "ecad2328727762d6fb6385c88892bd5508783cedb8e7029b536f2488f3644422",
+    ("K5", 0, "monomial"): "02655f7608d41f1843ec83d2d847d6d239b69c335fa324376cb55d63536c3aeb",
+    ("grid2x3", 0, "binomial"): "d3032b16ba099d51e9e64a058d025f455f073b12b6de345bb821eadb182f313b",
+    ("grid2x3", 0, "monomial"): "298235790e60d1a903629d6a884000e9f4975de0734f857ce5e8c477e249b908",
+    ("C5", 2, "binomial"): "9eb3152da918885b04056ba568e28fd5e4f87d505b01d364ef2e9f128dd9e875",
+    ("C5", 2, "monomial"): "1a3c61bc1bfcd4b810acde763d1e710f46b46452bd6622e73cd91d977464b823",
+    ("K5", 2, "binomial"): "04dde7c9faa35847064c61c09499979599f71ecd1db21e4e8c695fb0a31f85c4",
+    ("K5", 2, "monomial"): "bc72f8d401cc42542302f122fe4314b5ccae6688313f0f07dfe97cff3b3de5c3",
+    ("grid2x3", 2, "binomial"): "926bf9a856994940132244152f031ab6cf85f0b345af26866eb7f625f7607128",
+    ("grid2x3", 2, "monomial"): "e719d7774fc5d4d0c1ec04ddabc8ac598706006f70072df81c403b6077c19abc",
+    ("banana5", 0, "binomial"): "e61719c7788afa1b4d955c5aa430c3ab0ce4a878b47d3113220c6730233a6156",
+    ("banana5", 0, "monomial"): "b088ba0c8e40ddfc8682e2ef0fcac0184bc4cdb8584f99bed5098059c742040a",
+    ("banana5", 1, "binomial"): "a66b9638b4b4c12a8dd93350343fe4425b952346e79b9d988b8ae124240b8b64",
+    ("banana5", 1, "monomial"): "8d67c3aa8f7d2cd1980496d90dcb9ba1850766f411790799391396e726acbbda",
+}
+
+
+@pytest.mark.parametrize("family, q, variant", sorted(GOLDEN_DIGESTS))
+def test_format_resolution_golden_digest(family, q, variant):
+    text = format_resolution(build_resolution(GOLDEN_FAMILIES[family](q), variant))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[family, q, variant]
