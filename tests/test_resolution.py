@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import c4, complete, cycle, path, theta
+from toppling.cli import main
 from toppling.fields import get_field
 from toppling.flags import flag_divisor
 from toppling.graphs import bfs_term_order, build_graph
@@ -275,3 +276,100 @@ GOLDEN_DIGESTS = {
 def test_format_resolution_golden_digest(family, q, variant):
     text = format_resolution(build_resolution(GOLDEN_FAMILIES[family](q), variant))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[family, q, variant]
+
+
+def graph_text(g):
+    """g in the CLI's text format."""
+    lines = [f"v {g.n}", f"q {g.q + 1}"]
+    lines += [f"e {u + 1} {v + 1} {g.mult[u][v]}" for u, v in g.adjacent_pairs()]
+    return "\n".join(lines) + "\n"
+
+
+def cli_digest(tmp_path, capsys, g, *argv):
+    path = tmp_path / "g.txt"
+    path.write_text(graph_text(g))
+    assert main([argv[0], "--graph", str(path), *argv[1:]]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+# SHA-256 of `flags --k K` (one per K = 1..n) and of `betti --grading Pic`,
+# pinned before S_k moved to vertex masks: the S_k order and the printed
+# Pic representatives must not change by a byte
+FLAGS_DIGESTS = {
+    ("C5", 0): (
+        "589d6335533a8a92420cb1e0302aba4234fbc5c39f4881fc630db1f782aecba8",
+        "4c4cefa74a8678f819976bd86d3af70e9976cf63e7ff2a93f2334a6203e61579",
+        "71f77722c60bb40b6444b4814adf729b52494d2a9ad766634eeedc5704b12982",
+        "ce51f9c5ed5cfe568441471a22453979d3d53e16ad46e5493d40af494fc3e6aa",
+        "040c23cdf519f4efb21b25472c16f9bbdcd13cb502a0bad189a85552ce4f729e",
+    ),
+    ("C5", 2): (
+        "589d6335533a8a92420cb1e0302aba4234fbc5c39f4881fc630db1f782aecba8",
+        "cfa08b8c171bee554fd353f8a76aac0f38332d76fb341372e6a1413a64e8c51e",
+        "cf1b318c9e24f54ab4ce4d7281547cfc86e004c46f8ab1ba73d2888cbec992a7",
+        "8774dbd3ed125eb9d1c10e6d347c687ce8d08845f6201d8caa47b48f71693efe",
+        "0516e9576204b11c3af4291ffabfb142ec93198de47ad9b73e24cb026927b196",
+    ),
+    ("K5", 0): (
+        "589d6335533a8a92420cb1e0302aba4234fbc5c39f4881fc630db1f782aecba8",
+        "c8c9874bf80fe44344926d31fc4cac236caec08acf82557cbfca775ecba295d8",
+        "0afa804a8275bf7b85a0f8a79ce2f0c59e3084d7fb7fc3dc98a3fdb61f59bae2",
+        "6ebd8b47bf481ab7fd412e35fbabeb77015feb005fa7c781edaa4734c5d7de95",
+        "5d9f2b6bb542f5fbe798b3b7d06c30ee81f6df7c0bca9f848e01b4f05682fcc1",
+    ),
+    ("K5", 2): (
+        "589d6335533a8a92420cb1e0302aba4234fbc5c39f4881fc630db1f782aecba8",
+        "29340cccafef00a57d41f98b86fd742d81daf21d789893914103d7c7f856ead2",
+        "72ac76963fc051cb496b145906eabce28817b059b05a64056065b57cc1be15a0",
+        "b3da7c9f1f20b1e1d828724c92a7935cd6104d2bef13b91af04f27bc020d3c7f",
+        "ee32729b72f6ac1523e72c764d8410c31ce8d661305677cbc87bb48b5b355733",
+    ),
+    ("banana5", 0): (
+        "3eb11568c560605098293e16b8069fcdc8ea86f097cb111e2ceabcf5f9dd2e65",
+        "fdd346bb6dbb5884b88d37c65fe288171b0f22c91b81b61fffc0f420a932ca86",
+    ),
+    ("banana5", 1): (
+        "3eb11568c560605098293e16b8069fcdc8ea86f097cb111e2ceabcf5f9dd2e65",
+        "a70c0149d3541737dfe64664fb4c6f203bcb11fa89333d85f62361c295de871a",
+    ),
+    ("grid2x3", 0): (
+        "dd365c84cc3457e690a58bf2065071155d3abb70c3b4ebb10747be09f6172c2f",
+        "e2d3a16c15ee6e77a45a030c93a1a4025fc20cdb453bd832763f50e0957a6532",
+        "0da0aede4b6393add6bbb8b2c0be1db82b5c809ae5fda8c18d21c7815ca2f1ac",
+        "048df0f28fa1397b658f6f63fc7a7058469260278cb5142e43c0cd9e24367de4",
+        "828e2fb815e49b58b42edcbf1c85f4333cc81be0ffd15b7cb49c3b6d4e0e77c0",
+        "535cb473c1771eb6b86bc941ce01488602321ac01943f59ee3b2a49775099719",
+    ),
+    ("grid2x3", 2): (
+        "dd365c84cc3457e690a58bf2065071155d3abb70c3b4ebb10747be09f6172c2f",
+        "6ac1090c470d7ce74aa6794c36f6d55950330c3a96d07d5ffebf81208fc7af6a",
+        "837ceb01b698955319c1ba7b63d5431b10537bf5506e765c3258729cd28298e8",
+        "b4dccb67d243fae55460b88343f6c3e467011e26380cc09ea6f286f0c4897d0c",
+        "91eeaaef39a23ae4f9f637695fedefd568b44237eebc5f88e385d7bd2b9daf7c",
+        "b183bba7ce3dde6fab0b8d9be3f18cc820c0a252dd3f28e0f1f3ca3d9b65d5ea",
+    ),
+}
+PIC_DIGESTS = {
+    ("C5", 0): "5cf70e397cf4564e00ee6d29884ba782177f6b41a627d61a9e368b300ea767d3",
+    ("C5", 2): "706a1b8ea2316395ad89698366b69ce56ea45fa610c2345e3f4b89962c284761",
+    ("K5", 0): "f8a8f9d71a8c884b1dbb3df6ceadb5bf5052337901ea46c6e6a09d0a5ac641fa",
+    ("K5", 2): "25b34f210bc950d4e66694655585a52388bd2b4622dcfd06efdc29b542257d12",
+    ("banana5", 0): "3063f9567d5a175e4f0ec61226c46db18f095f82c6aacc77d8d7a804e60fd08c",
+    ("banana5", 1): "4a9cf4afd9bc815e4894cc8f07876f2a40dd0128fdaec2e0a838f45ecb4ac52e",
+    ("grid2x3", 0): "2ff29280cafcacf263c47f456b4bbaf5f6548404e157e0d54654242e092eee0d",
+    ("grid2x3", 2): "d8910807480601a8e8d251923a092e9307c45f4a223fd4bb6321cf2099684dbe",
+}
+
+
+@pytest.mark.parametrize("family, q, k", sorted(
+    (family, q, k) for (family, q), digests in FLAGS_DIGESTS.items()
+    for k in range(1, len(digests) + 1)))
+def test_flags_golden_digest(tmp_path, capsys, family, q, k):
+    got = cli_digest(tmp_path, capsys, GOLDEN_FAMILIES[family](q), "flags", "--k", str(k))
+    assert got == FLAGS_DIGESTS[family, q][k - 1]
+
+
+@pytest.mark.parametrize("family, q", sorted(PIC_DIGESTS))
+def test_betti_pic_golden_digest(tmp_path, capsys, family, q):
+    got = cli_digest(tmp_path, capsys, GOLDEN_FAMILIES[family](q), "betti", "--grading", "Pic")
+    assert got == PIC_DIGESTS[family, q]
