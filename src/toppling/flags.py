@@ -12,10 +12,9 @@ from .graphs import (
     BadVertex,
     PointedGraph,
     boundary_divisor,
-    divisor_add,
     divisor_max,
     induced_connected,
-    zero_divisor,
+    mask_connected,
 )
 
 
@@ -71,7 +70,7 @@ class NotAFlag(FlagError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnectedFlag:
     chain: tuple  # tuple of frozensets, strictly increasing, last = V(G)
 
@@ -184,11 +183,18 @@ def flag_orientation(g: PointedGraph, uc: ConnectedFlag):
 
 
 def flag_divisor(g: PointedGraph, uc: ConnectedFlag):
-    d = zero_divisor(g.n)
-    for i in range(1, uc.k):
-        d = divisor_add(d, boundary_divisor(g, uc.chain[i] - uc.chain[i - 1],
-                                            uc.chain[i - 1]))
-    return d
+    """D(U), the indegree divisor of G(U): every edge between two parts adds
+    its multiplicity at its end in the higher part."""
+    level = [0] * g.n       # the part of each vertex: the least i with v in U_i
+    for i in range(uc.k - 1, -1, -1):
+        for v in uc.chain[i]:
+            level[v] = i
+    d = [0] * g.n
+    for u, v in g.adjacent_pairs():
+        a, b = level[u], level[v]
+        if a != b:
+            d[u if a > b else v] += g.mult[u][v]
+    return tuple(d)
 
 
 def flags_equivalent(g: PointedGraph, u: ConnectedFlag, v: ConnectedFlag) -> bool:
@@ -218,33 +224,64 @@ def _reversed_arcs(arcs, j):
 
 
 # ---------------------------------------------------------------------------
-# enumeration of flags and minimal representatives
+# enumeration of flags and minimal representatives, on vertex masks (bit v
+# set iff vertex v is in the set)
 
-def _splits(g: PointedGraph, t):
-    """Every split of t (a set holding q): a connected u with q in u < t and
-    t - u connected."""
-    rest = sorted(t - {g.q})
-    for r in range(len(rest)):
-        for combo in itertools.combinations(rest, r):
-            u = frozenset(combo + (g.q,))
-            if induced_connected(g, u) and induced_connected(g, t - u):
-                yield u
+def mask_rank(n, m):
+    """subset_key order on the vertex masks of an n-vertex graph as one int:
+    (n - |m|) * 2^n + (2^n - 1 - bitreverse_n(m)).  Among sets of one size,
+    the set holding the least vertex where two differ comes first, and
+    reversing the bits puts vertex 0 highest."""
+    return (n - m.bit_count()) << n | ((1 << n) - 1 - int(f"{m:0{n}b}"[::-1], 2))
 
 
-def _grow(g: PointedGraph, flags):
-    """Each flag W extended by every split of W_1 put below it."""
-    return [ConnectedFlag((u,) + w.chain)
-            for w in flags for u in _splits(g, w.chain[0])]
+def _interned(g: PointedGraph):
+    """(mask -> frozenset, frozenset -> mask), cached on g, so each frozenset
+    of a flag chain is built once per mask."""
+    if "sets" not in g._cache:
+        g._cache["sets"] = ({}, {})
+    return g._cache["sets"]
+
+
+def _frozen(g: PointedGraph, m):
+    sets, masks = _interned(g)
+    s = sets.get(m)
+    if s is None:
+        s = sets[m] = frozenset(v for v in range(g.n) if m >> v & 1)
+        masks[s] = m
+    return s
+
+
+def _split_masks(g: PointedGraph, w):
+    """Every split of the mask w (holding q): a connected u with q in u < w
+    and w - u connected, in rank order, memoised per w on g.  u is q plus a
+    proper submask of w - {q}, so w = {q} has none."""
+    memo = g._cache.setdefault("splits", {})
+    out = memo.get(w)
+    if out is None:
+        qbit = 1 << g.q
+        rest = w & ~qbit
+        found = []
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            if mask_connected(g, sub | qbit) and mask_connected(g, rest ^ sub):
+                found.append(sub | qbit)
+        out = memo[w] = sorted(found, key=lambda u: mask_rank(g.n, u))
+    return out
 
 
 def enumerate_all_connected_flags(g: PointedGraph, k):
-    """Every connected k-flag (not up to equivalence); none when k > n.
-    Dropping U_1 from one leaves a connected (k-1)-flag, so grow from (V,)."""
+    """Every connected k-flag (not up to equivalence), sorted by <_k; none
+    when k > n.  Dropping U_1 from one leaves a connected (k-1)-flag, so grow
+    from (V,) by the splits of each first set."""
     if k < 1:
         raise BadK(f"flag length k={k} must be at least 1")
-    out = [ConnectedFlag((frozenset(range(g.n)),))]
+    masks = _interned(g)[1]
+    out = [ConnectedFlag((_frozen(g, (1 << g.n) - 1),))]
     for _ in range(k - 1):
-        out = _grow(g, out)
+        out = [ConnectedFlag((_frozen(g, u),) + w.chain)
+               for w in out for u in _split_masks(g, masks[w.chain[0]])]
     return out
 
 
@@ -273,13 +310,43 @@ def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
     elif k > g.n:
         flags = []
     else:
-        lower = enumerate_minimal_flags(g, k - 1)
-        flags = [uc for uc in _grow(g, lower)
-                 if (d2 := drop_second(g, uc)) in lower.position
-                 and flag_sort_key(drop_first(uc)) < flag_sort_key(d2)]
-    basis = FlagBasis(sorted(flags, key=flag_sort_key))
+        flags = _drop_rule_flags(g, enumerate_minimal_flags(g, k - 1))
+    basis = FlagBasis(flags)
     g._cache[k] = basis
     return basis
+
+
+def _drop_rule_flags(g: PointedGraph, lower: FlagBasis):
+    """S_k from S_{k-1}, in <_k order.  U = (u, W) for W in S_{k-1} and u a
+    split of W_1 has drop_first(U) = W, and drop_second(U) = (x, W_2, ...)
+    with x = u if W_2 - u is connected, else u | (W_2 - W_1).  The two drops
+    share W_2 onward, so W <_{k-1} drop_second(U) iff rank(W_1) < rank(x).
+    The flags of S_{k-1} with one tail W_2, ... are consecutive, so x is
+    looked up among the first sets of W's run.  <_k compares U_1 last, and
+    the splits come in rank order, so the result needs no sort."""
+    masks = _interned(g)[1]
+    ranks = {}
+
+    def rank(m):
+        r = ranks.get(m)
+        if r is None:
+            r = ranks[m] = mask_rank(g.n, m)
+        return r
+
+    out = []
+    for tail, run in itertools.groupby(lower, key=lambda w: w.chain[1:]):
+        run = list(run)
+        heads = {masks[w.chain[0]] for w in run}
+        w2 = masks[tail[0]]
+        for w in run:
+            w1 = masks[w.chain[0]]
+            r1 = rank(w1)
+            above = w2 & ~w1
+            for u in _split_masks(g, w1):
+                x = u if mask_connected(g, w2 & ~u) else u | above
+                if x in heads and rank(x) > r1:
+                    out.append(ConnectedFlag((_frozen(g, u),) + w.chain))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +521,31 @@ def _realigned_arcs(arcs):
     degree sequences in digraphs and a cycle-cocycle reversing system, 2007;
     Benson-Chakrabarty-Tetali, G-parking functions, acyclic orientations and
     spanning trees, 2010), so one already of that form comes back unchanged.
-    MergeError: node 0 is left with an incoming arc, so `arcs` had a cycle."""
+    MergeError: node 0 is left with an incoming arc, so `arcs` had a cycle.
+    Sources are read off per-node successor and predecessor masks, and a
+    push flips its node's arcs in place."""
     arcs = set(arcs)
-    while True:
-        heads = {h for _, h in arcs}
-        sources = {t for t, _ in arcs} - heads - {0}
-        if not sources:
-            break
-        x = min(sources)
-        arcs = {(h, t) if t == x else (t, h) for t, h in arcs}
-    if 0 in heads:
+    size = max(map(max, arcs), default=0) + 1
+    succ = [0] * size
+    pred = [0] * size
+    for t, h in arcs:
+        succ[t] |= 1 << h
+        pred[h] |= 1 << t
+    x = 1
+    while x < size:
+        if pred[x] or not succ[x]:
+            x += 1
+            continue
+        bit, heads = 1 << x, succ[x]
+        succ[x], pred[x] = 0, heads
+        for y in range(size):
+            if heads >> y & 1:
+                arcs.remove((x, y))
+                arcs.add((y, x))
+                succ[y] |= bit
+                pred[y] &= ~bit
+        x = 1
+    if pred[0]:
         raise MergeError(f"cyclic orientation {sorted(arcs)}: node 0 has an incoming arc")
     return arcs
 

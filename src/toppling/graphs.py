@@ -1,4 +1,5 @@
-"""Pointed multigraph core: connectivity, boundary divisors, BFS variable order.
+"""Pointed multigraph core: connectivity on vertex masks, boundary divisors,
+BFS variable order.
 
 Vertices are 0-based everywhere inside the library; the CLI file formats are
 1-based.  A divisor is a plain tuple of ints of length n, used both as a chip
@@ -46,7 +47,10 @@ class PointedGraph:
     mult: tuple[tuple[int, ...], ...]  # symmetric, zero diagonal
     q: int
     # computed once per object: flag bases by k, BFS orders by
-    # ("bfs", start) and the adjacent pairs by "pairs"; init=False:
+    # ("bfs", start), the adjacent pairs by "pairs", neighbour masks by
+    # "neighbors", and per vertex mask its connectivity ("connected"), its
+    # splits ("splits") and its frozenset ("sets", with the reverse map);
+    # init=False:
     # dataclasses.replace(g, q=...) starts empty, as bases depend on q;
     # compare=False: == and hash stay on (n, mult, q)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
@@ -96,20 +100,39 @@ def build_graph(n, edges, q) -> PointedGraph:
     return g
 
 
+def neighbor_masks(g: PointedGraph):
+    """Entry v has bit w set iff v and w are adjacent; cached on g."""
+    if "neighbors" not in g._cache:
+        g._cache["neighbors"] = tuple(sum(1 << w for w in range(g.n) if row[w])
+                                      for row in g.mult)
+    return g._cache["neighbors"]
+
+
+def mask_connected(g: PointedGraph, m) -> bool:
+    """Whether the nonzero vertex mask m induces a connected subgraph: a
+    flood fill from its lowest vertex, memoised per mask on g."""
+    memo = g._cache.setdefault("connected", {})
+    hit = memo.get(m)
+    if hit is None:
+        nbr = neighbor_masks(g)
+        seen = frontier = m & -m
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & m & ~seen
+            seen |= frontier
+        hit = memo[m] = seen == m
+    return hit
+
+
 def induced_connected(g: PointedGraph, s) -> bool:
-    s = frozenset(s)
-    if not s:
+    m = sum(1 << v for v in frozenset(s))
+    if not m:
         raise EmptySet("connectivity of the empty set is undefined")
-    start = next(iter(s))
-    seen = {start}
-    todo = deque([start])
-    while todo:
-        u = todo.popleft()
-        for v in g.neighbors(u):
-            if v in s and v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return len(seen) == len(s)
+    return mask_connected(g, m)
 
 
 def boundary_divisor(g: PointedGraph, a, b):

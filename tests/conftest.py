@@ -48,6 +48,21 @@ def digraph_is_acyclic(node_count, arcs):
     return seen == node_count
 
 
+def bfs_connected(g, s):
+    """Whether the nonempty vertex set s induces a connected subgraph, by a
+    breadth-first search from one of its vertices."""
+    start = min(s)
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        u = todo.popleft()
+        for v in s:
+            if g.mult[u][v] and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen == set(s)
+
+
 def scanned_unique_source(g):
     """Acyclic orientations with g.q the unique source, by brute force: every
     total orientation, kept when acyclic and g.q is its only source."""

@@ -7,7 +7,15 @@ import pytest
 from conftest import c4, complete, cycle, digraph_is_acyclic, path, scanned_unique_source
 from toppling import flags
 from toppling.divisors import q_reduce
-from toppling.graphs import BadVertex, PointedGraph, build_graph, indegree_divisor
+from toppling.graphs import (
+    BadVertex,
+    PointedGraph,
+    boundary_divisor,
+    build_graph,
+    divisor_add,
+    indegree_divisor,
+    zero_divisor,
+)
 from toppling.flags import (
     BadK,
     BadPartIndex,
@@ -34,6 +42,7 @@ from toppling.flags import (
     flags_equivalent,
     incidence_sign,
     kappa,
+    mask_rank,
     merge_records,
     merge_sets,
     pullback_flag,
@@ -130,6 +139,21 @@ class TestOrientation:
     def test_divisor_c4(self):
         assert flag_divisor(c4(), u_flag()) == (0, 1, 1, 2)
 
+    def test_one_pass_divisor_matches_level_sum(self, graph_corpus):
+        # D(U) = sum over levels i of D(A_i, U_{i-1}), on every connected
+        # flag of every corpus graph at every base vertex, and of K6
+        checked = 0
+        for g in [*corpus_and_families(graph_corpus), complete(6)]:
+            for k in range(1, g.n + 1):
+                for uc in enumerate_all_connected_flags(g, k):
+                    want = zero_divisor(g.n)
+                    for i in range(1, k):
+                        want = divisor_add(want, boundary_divisor(
+                            g, uc.chain[i] - uc.chain[i - 1], uc.chain[i - 1]))
+                    assert flag_divisor(g, uc) == want, uc.literal()
+                    checked += 1
+        assert checked > 10000
+
     def test_divisor_is_indegree(self):
         g = g5()
         for uc in enumerate_all_connected_flags(g, 3):
@@ -144,6 +168,15 @@ class TestOrder:
         small = make([fs(1), fs(1, 2, 3, 4)])
         assert flag_less(big, small)
         assert not flag_less(small, big)
+
+    def test_mask_rank_is_subset_key(self):
+        # every mask of every n <= 10, the empty one included: sorted by
+        # subset_key, the ranks strictly increase
+        for n in range(1, 11):
+            by_key = sorted(range(1 << n), key=lambda m: subset_key(
+                {v for v in range(n) if m >> v & 1}))
+            ranks = [mask_rank(n, m) for m in by_key]
+            assert all(a < b for a, b in zip(ranks, ranks[1:])), n
 
     def test_irreflexive(self):
         assert not flag_less(u_flag(), u_flag())
@@ -182,6 +215,20 @@ class TestEnumeration:
     def test_k_above_n_is_empty(self):
         assert enumerate_all_connected_flags(c4(), 5) == []
         assert len(enumerate_minimal_flags(c4(), 5)) == 0
+
+    def test_one_vertex_has_no_split(self):
+        # V = {q} has no split, so there is no 2-flag, and the growth must not
+        # put V itself below V
+        k1 = build_graph(1, [], 0)
+        assert enumerate_minimal_flags(k1, 1).flags == (ConnectedFlag((fs(1),)),)
+        assert len(enumerate_minimal_flags(k1, 2)) == 0
+        assert enumerate_all_connected_flags(k1, 2) == []
+
+    def test_all_flags_sorted(self, graph_corpus):
+        for g in corpus_and_families(graph_corpus):
+            for k in range(1, g.n + 1):
+                flags = enumerate_all_connected_flags(g, k)
+                assert flags == sorted(flags, key=flag_sort_key)
 
     def test_k_below_one(self):
         with pytest.raises(BadK, match="k=0"):

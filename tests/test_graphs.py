@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import c4, complete, digraph_is_acyclic, path, theta
+from conftest import bfs_connected, c4, complete, digraph_is_acyclic, path, theta
 from toppling.graphs import (
     BadVertex,
     Disconnected,
@@ -72,6 +72,19 @@ class TestConnectivity:
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySet):
             induced_connected(c4(), set())
+
+    def test_flood_fill_matches_bfs(self, graph_corpus):
+        # every nonempty vertex subset of every corpus graph, asked twice so
+        # the memoised answer is checked as well
+        checked = 0
+        for n, edges in graph_corpus:
+            g = build_graph(n, edges, 0)
+            for _ in range(2):
+                for m in range(1, 1 << n):
+                    s = {v for v in range(n) if m >> v & 1}
+                    assert induced_connected(g, s) == bfs_connected(g, s), (n, edges, s)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestBoundaryDivisor:
