@@ -4,6 +4,7 @@ contraction, o_j reversals, merges, incidence signs and theta exponents."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -325,14 +326,7 @@ def _drop_rule_flags(g: PointedGraph, lower: FlagBasis):
     looked up among the first sets of W's run.  <_k compares U_1 last, and
     the splits come in rank order, so the result needs no sort."""
     masks = _interned(g)[1]
-    ranks = {}
-
-    def rank(m):
-        r = ranks.get(m)
-        if r is None:
-            r = ranks[m] = mask_rank(g.n, m)
-        return r
-
+    rank = functools.cache(functools.partial(mask_rank, g.n))
     out = []
     for tail, run in itertools.groupby(lower, key=lambda w: w.chain[1:]):
         run = list(run)

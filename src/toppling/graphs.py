@@ -50,8 +50,8 @@ class PointedGraph:
     # ("bfs", start), the adjacent pairs by "pairs", neighbour masks by
     # "neighbors", and per vertex mask its connectivity ("connected"), its
     # splits ("splits") and its frozenset ("sets", with the reverse map);
-    # init=False:
-    # dataclasses.replace(g, q=...) starts empty, as bases depend on q;
+    # init=False: dataclasses.replace(g, q=...) starts empty, as bases and
+    # splits depend on q;
     # compare=False: == and hash stay on (n, mult, q)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
