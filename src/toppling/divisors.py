@@ -15,6 +15,7 @@ from .graphs import (
     divisor_deg,
     divisor_sub,
     indegree_divisor,
+    neighbor_lists,
     zero_divisor,
 )
 
@@ -62,41 +63,64 @@ def fire_set(g: PointedGraph, d, members, times=1):
     return tuple(d)
 
 
-def burn_order(g: PointedGraph, q, d):
-    """Vertices in the order Dhar's fire from q burns them: q first, then
-    at each step the smallest unburnt vertex with more burnt edges than
-    chips.  The vertices left out form the maximal unburnt set."""
+def _check_input(g: PointedGraph, q, d):
+    if len(d) != g.n:
+        raise DivisorError(f"divisor has {len(d)} entries, graph has n={g.n} vertices")
+    if not 0 <= q < g.n:
+        raise DivisorError(f"q={q} out of range for n={g.n}")
+
+
+def _burn(g: PointedGraph, q, d):
+    """Dhar's fire from q on d, in one worklist pass: each burning vertex
+    adds its edges to the count of every unburnt neighbour, which catches
+    fire once its count exceeds its chips.  Returns the burn order, a burnt
+    flag per vertex and the counts; an unburnt vertex's count is its number
+    of edges into the burnt set."""
+    nbrs = neighbor_lists(g)
+    burnt = [False] * g.n
+    burnt[q] = True
+    count = [0] * g.n
     order = [q]
-    unburnt = [v for v in range(g.n) if v != q]
-    count = g.mult[q]               # edges from burnt vertices
-    while True:
-        for v in unburnt:
-            if count[v] > d[v]:
-                break
-        else:
-            return order
-        order.append(v)
-        unburnt.remove(v)
-        count = [c + m for c, m in zip(count, g.mult[v])]
+    for v in order:             # order grows as it is walked
+        for w, m in nbrs[v]:
+            if not burnt[w]:
+                count[w] += m
+                if count[w] > d[w]:
+                    burnt[w] = True
+                    order.append(w)
+    return order, burnt, count
+
+
+def burn_order(g: PointedGraph, q, d):
+    """Vertices in the order Dhar's fire from q reaches them: q first, then
+    each vertex as the worklist pass finds it holding fewer chips than its
+    edges to the vertices listed before it.  The vertices left out form the
+    maximal unburnt set, which does not depend on the order."""
+    _check_input(g, q, d)
+    return _burn(g, q, d)[0]
 
 
 def dhar_burn(g: PointedGraph, q, d):
     """Maximal unburnt set for the fire started at q; empty iff q-reduced."""
+    _check_input(g, q, d)
     for v in range(g.n):
         if v != q and d[v] < 0:
             raise NegativeOffQ(f"d({v}) = {d[v]} < 0")
-    return frozenset(range(g.n)).difference(burn_order(g, q, d))
+    burnt = _burn(g, q, d)[1]
+    return frozenset(v for v in range(g.n) if not burnt[v])
 
 
 def is_q_reduced(g: PointedGraph, q, d) -> bool:
     """Effective off q, and Dhar's fire from q burns every vertex."""
+    _check_input(g, q, d)
     return (all(d[v] >= 0 for v in range(g.n) if v != q)
-            and len(burn_order(g, q, d)) == g.n)
+            and len(_burn(g, q, d)[0]) == g.n)
 
 
 def q_reduce(g: PointedGraph, q, d):
     """The unique q-reduced divisor linearly equivalent to d, computed in
     place on one list."""
+    _check_input(g, q, d)
     d = list(d)
     order = bfs_order(g, q)
     # Stage 1: clear negative values off q, farthest first.  Firing the BFS
@@ -111,16 +135,21 @@ def q_reduce(g: PointedGraph, q, d):
         _fire(g, d, ball, (-d[v] + c - 1) // c)
     # Stage 2: d is now non-negative off q.  Fire the unburnt set until
     # Dhar's fire consumes everything, as many times at once as stays legal:
-    # one fire takes from v one chip per edge into the burnt set, and the
-    # fire left v unburnt because it holds at least that many.
+    # one fire takes from v its count of edges into the burnt set, and the
+    # fire left v unburnt because it holds at least that many.  Only those
+    # cut edges move chips.
+    nbrs = neighbor_lists(g)
     while True:
-        burnt = burn_order(g, q, d)
-        if len(burnt) == g.n:
+        burnt_order, burnt, count = _burn(g, q, d)
+        if len(burnt_order) == g.n:
             return tuple(d)
-        unburnt = frozenset(range(g.n)).difference(burnt)
-        times = min(d[v] // out for v in unburnt
-                    if (out := sum(g.mult[v][w] for w in burnt)))
-        _fire(g, d, unburnt, times)
+        rim = [v for v in range(g.n) if not burnt[v] and count[v]]
+        times = min(d[v] // count[v] for v in rim)
+        for v in rim:
+            d[v] -= count[v] * times
+            for w, m in nbrs[v]:
+                if burnt[w]:
+                    d[w] += m * times
 
 
 def linearly_equivalent(g: PointedGraph, d1, d2) -> bool:
@@ -180,8 +209,7 @@ def linear_system(g: PointedGraph, d):
     r = q_reduce(g, g.q, d)
     if r[g.q] < 0:
         return []
-    moves = [fire_set(g, zero_divisor(g.n), [v for v in range(g.n) if mask >> v & 1])
-             for mask in range(1, (1 << g.n) - 1)]
+    moves = _moves(g)
     members = [r]
     seen = {r}
     for e in members:           # members grows as it is walked
@@ -191,6 +219,26 @@ def linear_system(g: PointedGraph, d):
                 seen.add(f)
                 members.append(f)
     return sorted(members)
+
+
+def _moves(g: PointedGraph):
+    """-Delta(chi_S) for every non-empty proper vertex mask S, in mask
+    order, cached on g.  The Laplacian is linear, so the move of S is that
+    of S without its lowest vertex plus that vertex's own move."""
+    if "moves" not in g._cache:
+        single = []
+        for v, row in enumerate(neighbor_lists(g)):
+            move = [0] * g.n
+            for w, m in row:
+                move[v] -= m
+                move[w] = m
+            single.append(tuple(move))
+        moves = [zero_divisor(g.n)]
+        for mask in range(1, (1 << g.n) - 1):
+            low = mask & -mask
+            moves.append(divisor_add(moves[mask ^ low], single[low.bit_length() - 1]))
+        g._cache["moves"] = tuple(moves[1:])
+    return g._cache["moves"]
 
 
 def acyclic_orientations_unique_source(g: PointedGraph):

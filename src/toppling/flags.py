@@ -100,7 +100,7 @@ def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
     if outside:
         raise BadVertex(f"vertex {outside[0] + 1} is not in the graph (vertices 1..{g.n})")
     if not chain or g.q not in chain[0]:
-        raise MissingQ(f"q={g.q} not in the first set")
+        raise MissingQ(f"q={g.q + 1} not in the first set")
     for i in range(1, len(chain)):
         if not chain[i - 1] < chain[i]:
             raise NotIncreasing(f"chain not strictly increasing at index {i}")

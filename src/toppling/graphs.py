@@ -48,8 +48,10 @@ class PointedGraph:
     q: int
     # computed once per object: flag bases by k, BFS orders by
     # ("bfs", start), the adjacent pairs by "pairs", neighbour masks by
-    # "neighbors", and per vertex mask its connectivity ("connected"), its
-    # splits ("splits") and its frozenset ("sets", with the reverse map);
+    # "neighbors", neighbour lists by "adjacency", the set-firing moves of
+    # linear_system by "moves", and per vertex mask its connectivity
+    # ("connected"), its splits ("splits") and its frozenset ("sets", with
+    # the reverse map);
     # init=False: dataclasses.replace(g, q=...) starts empty, as bases and
     # splits depend on q;
     # compare=False: == and hash stay on (n, mult, q)
@@ -106,6 +108,15 @@ def neighbor_masks(g: PointedGraph):
         g._cache["neighbors"] = tuple(sum(1 << w for w in range(g.n) if row[w])
                                       for row in g.mult)
     return g._cache["neighbors"]
+
+
+def neighbor_lists(g: PointedGraph):
+    """Entry v holds a (w, multiplicity) pair per neighbour w of v, in
+    order of w; cached on g."""
+    if "adjacency" not in g._cache:
+        g._cache["adjacency"] = tuple(tuple((w, m) for w, m in enumerate(row) if m)
+                                      for row in g.mult)
+    return g._cache["adjacency"]
 
 
 def mask_connected(g: PointedGraph, m) -> bool:

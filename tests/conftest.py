@@ -29,6 +29,10 @@ def theta(m):
     return build_graph(2, [(0, 1)] * m, 0)
 
 
+def grid_2x3(q=0):
+    return build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], q)
+
+
 def digraph_is_acyclic(node_count, arcs):
     """Kahn's test: every node is removed as a source in turn."""
     out = [[] for _ in range(node_count)]

@@ -389,6 +389,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "vertex 9" in err
 
+    def test_flag_missing_q_is_1_based(self, c4_file, capsys):
+        assert main(["export-dot", "--graph", c4_file,
+                     "--flag", "{2}<{1,2,3,4}"]) == 1
+        assert capsys.readouterr().err == "error: q=1 not in the first set\n"
+
     def test_usage_errors_exit_1(self, c4_file, capsys):
         # argparse would exit with 2, the code kept for verification failures
         for argv in (["flags", "--graph", c4_file],

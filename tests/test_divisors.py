@@ -7,6 +7,7 @@ from conftest import (
     c4,
     complete,
     cycle,
+    grid_2x3,
     path,
     reference_q_reduce,
     scanned_linear_system,
@@ -15,8 +16,10 @@ from conftest import (
 )
 from toppling import divisors
 from toppling.divisors import (
+    DivisorError,
     NegativeOffQ,
     acyclic_orientations_unique_source,
+    burn_order,
     dhar_burn,
     fire_set,
     hilbert_function,
@@ -29,6 +32,7 @@ from toppling.divisors import (
     q_reduce,
     spanning_tree_count,
 )
+from toppling.flags import enumerate_minimal_flags, flag_divisor
 from toppling.graphs import build_graph
 
 
@@ -208,21 +212,49 @@ class TestAgainstReferences:
 
     def test_multi_fire_rounds_do_not_grow_with_chips(self, monkeypatch):
         # -5L at q and L elsewhere on C6 reduces to 0; one firing round per
-        # chip would need about L rounds
-        real = divisors.burn_order
+        # chip would need about L rounds.  Each round lights one fire.
+        real = divisors._burn
         calls = []
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(divisors, "burn_order", counting)
+        monkeypatch.setattr(divisors, "_burn", counting)
         counts = []
         for chips in (10, 10 ** 3, 10 ** 9):
             calls.clear()
             assert q_reduce(cycle(6), 0, (-5 * chips,) + (chips,) * 5) == (0,) * 6
             counts.append(len(calls))
-        assert counts[0] == counts[1] == counts[2]
+        assert 0 < counts[0] == counts[1] == counts[2]
+
+    def test_q_reduce_matches_reference_on_flag_divisors(self, graph_corpus):
+        # the divisors betti_table reduces: D(U) for every U in every S_k
+        graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+        graphs += _at_every_base([cycle(6), complete(5), grid_2x3()])
+        for g in graphs:
+            for k in range(2, g.n + 1):
+                for uc in enumerate_minimal_flags(g, k):
+                    d = flag_divisor(g, uc)
+                    assert q_reduce(g, g.q, d) == reference_q_reduce(g, g.q, d)
+
+
+class TestBadInput:
+    """The functions that take q check it and the divisor's length."""
+
+    BURNS = [q_reduce, burn_order, dhar_burn, is_q_reduced]
+
+    @pytest.mark.parametrize("fn", BURNS)
+    @pytest.mark.parametrize("q", [-1, 4])
+    def test_q_out_of_range(self, fn, q):
+        with pytest.raises(DivisorError, match=f"q={q} out of range for n=4"):
+            fn(c4(), q, (0, 2, 0, 0))
+
+    @pytest.mark.parametrize("fn", BURNS)
+    @pytest.mark.parametrize("d", [(0, 2, 0, 0, 5), (0, 2, 0)])
+    def test_wrong_length(self, fn, d):
+        with pytest.raises(DivisorError, match=f"divisor has {len(d)} entries"):
+            fn(c4(), 0, d)
 
 
 class TestOrientationCorrespondence:
@@ -236,11 +268,9 @@ class TestOrientationCorrespondence:
         assert len(acyclic_orientations_unique_source(complete(3))) == 2
 
     def test_equals_scan(self, graph_corpus):
-        grid_2x3 = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3),
-                                   (1, 4), (2, 5)], 0)
         graphs = [build_graph(n, edges, q)
                   for n, edges in graph_corpus for q in range(n)]
-        for g in graphs + [complete(5), cycle(6), grid_2x3, complete(1)]:
+        for g in graphs + [complete(5), cycle(6), grid_2x3(), complete(1)]:
             got = acyclic_orientations_unique_source(g)
             assert len(set(got)) == len(got)
             assert set(got) == set(scanned_unique_source(g))

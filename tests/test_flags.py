@@ -4,7 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import c4, complete, cycle, digraph_is_acyclic, path, scanned_unique_source
+from conftest import (
+    c4,
+    complete,
+    cycle,
+    digraph_is_acyclic,
+    grid_2x3,
+    path,
+    scanned_unique_source,
+)
 from toppling import flags
 from toppling.divisors import q_reduce
 from toppling.graphs import (
@@ -442,10 +450,6 @@ def corpus_and_families(graph_corpus):
             yield build_graph(n, edges, q)
     yield cycle(6)
     yield complete(5)
-
-
-def grid_2x3():
-    return build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], 0)
 
 
 def bucket_minima(g, k):

@@ -89,24 +89,41 @@ def graph_and_effective_off_q(draw):
     return g, d
 
 
+def largest_legal_set(g, d):
+    """The fire's fixpoint: the largest set off q that can fire without
+    sending a member negative (a union of such sets is one)."""
+    off_q = [v for v in range(g.n) if v != g.q]
+    legal = frozenset()
+    for r in range(1, len(off_q) + 1):
+        for s in itertools.combinations(off_q, r):
+            if all(d[v] >= sum(g.mult[v][w] for w in range(g.n) if w not in s)
+                   for v in s):
+                legal |= frozenset(s)
+    return legal
+
+
 class TestDharFire:
     @given(graph_and_effective_off_q())
     def test_unburnt_is_largest_legal_set(self, gd):
-        # the fire's fixpoint: the largest set off q that can fire without
-        # sending a member negative (a union of such sets is one)
         g, d = gd
-        off_q = [v for v in range(g.n) if v != g.q]
-        legal = frozenset()
-        for r in range(1, len(off_q) + 1):
-            for s in itertools.combinations(off_q, r):
-                if all(d[v] >= sum(g.mult[v][w] for w in range(g.n) if w not in s)
-                       for v in s):
-                    legal |= frozenset(s)
+        legal = largest_legal_set(g, d)
         assert dhar_burn(g, g.q, d) == legal
         order = burn_order(g, g.q, d)
         assert order[0] == g.q
         assert len(set(order)) == len(order)
         assert set(order) == set(range(g.n)) - legal
+
+    @given(graph_and_effective_off_q())
+    def test_burn_order_is_a_dhar_order(self, gd):
+        # every vertex after q could catch fire from the ones listed before
+        # it, and the ones never listed are exactly the legal set
+        g, d = gd
+        order = burn_order(g, g.q, d)
+        assert order[0] == g.q
+        for i in range(1, len(order)):
+            v = order[i]
+            assert sum(g.mult[v][w] for w in order[:i]) > d[v]
+        assert set(range(g.n)) - set(order) == largest_legal_set(g, d)
 
 
 def exps(draw, n, mk):

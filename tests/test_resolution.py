@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import c4, complete, cycle, path, theta
+from conftest import c4, complete, cycle, grid_2x3, path, theta
 from toppling.cli import main
 from toppling.fields import get_field
 from toppling.flags import flag_divisor
@@ -237,10 +237,6 @@ def test_format_resolution_round_numbers():
     assert "phi 0 1 6" in text
     assert "phi 1 6 8" in text
     assert "phi 2 8 3" in text
-
-
-def grid_2x3(q):
-    return build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], q)
 
 
 GOLDEN_FAMILIES = {
