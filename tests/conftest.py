@@ -1,10 +1,11 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
-from toppling.divisors import dhar_burn, fire_set
-from toppling.graphs import bfs_order, build_graph, total_orientations
+from toppling.divisors import PicClass, dhar_burn, fire_set, pic_class
+from toppling.flags import enumerate_minimal_flags, flag_divisor
+from toppling.graphs import bfs_order, build_graph, total_orientations, zero_divisor
 
 
 def c4():
@@ -89,6 +90,17 @@ def reference_q_reduce(g, q, d):
     while unburnt := dhar_burn(g, q, d):
         d = fire_set(g, d, unburnt)
     return tuple(d)
+
+
+def per_flag_pic_table(g):
+    """The Pic-graded Betti numbers counted flag by flag: beta_0 = 1 at the
+    class of 0, and each U in S_k adds one at (k - 1, the class of D(U)),
+    with D(U) built and reduced afresh for every flag."""
+    table = Counter({(0, PicClass(zero_divisor(g.n))): 1})
+    for k in range(2, g.n + 1):
+        table.update((k - 1, pic_class(g, flag_divisor(g, uc)))
+                     for uc in enumerate_minimal_flags(g, k))
+    return dict(table)
 
 
 def _compositions(total, parts):

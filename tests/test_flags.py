@@ -162,6 +162,23 @@ class TestOrientation:
                     checked += 1
         assert checked > 10000
 
+    def test_divisor_extends_drop_first(self, graph_corpus):
+        # D(U) = D(drop_first(U)) + D(U_2 - U_1, U_1) for U in S_k, k >= 3:
+        # the edges U_1 adds inside U_2 are the only ones W = drop_first(U)
+        # does not count
+        graphs = [*corpus_and_families(graph_corpus), complete(6)]
+        graphs += [grid_2x3(q) for q in range(6)]
+        checked = 0
+        for g in graphs:
+            for k in range(3, g.n + 1):
+                for uc in enumerate_minimal_flags(g, k):
+                    u1, u2 = uc.chain[0], uc.chain[1]
+                    want = divisor_add(flag_divisor(g, drop_first(uc)),
+                                       boundary_divisor(g, u2 - u1, u1))
+                    assert flag_divisor(g, uc) == want, uc.literal()
+                    checked += 1
+        assert checked > 5000
+
     def test_divisor_is_indegree(self):
         g = g5()
         for uc in enumerate_all_connected_flags(g, 3):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_connected_multigraph
+from conftest import per_flag_pic_table, random_connected_multigraph
 from toppling.divisors import (
     burn_order,
     dhar_burn,
@@ -30,7 +30,7 @@ from toppling.poly import (
     poly_mul,
     poly_sub,
 )
-from toppling.resolution import groebner_basis
+from toppling.resolution import betti_table, groebner_basis
 
 
 def graph_from_seed(seed, n_max=5, m_max=8):
@@ -40,6 +40,8 @@ def graph_from_seed(seed, n_max=5, m_max=8):
 
 
 graphs = st.integers(min_value=0, max_value=10 ** 6).map(graph_from_seed)
+graphs6 = st.integers(min_value=0, max_value=10 ** 6).map(
+    lambda seed: graph_from_seed(seed, n_max=6, m_max=10))
 coeffs = st.integers(min_value=-6, max_value=9)
 
 
@@ -235,3 +237,12 @@ class TestClassCounts:
         for k in range(1, g.n + 1):
             expect = 1 if k == 1 else len(enumerate_minimal_flags(g, k))
             assert brute_force_class_count(g, k) == expect
+
+
+class TestBettiTable:
+    @given(graphs6)
+    @settings(max_examples=30, deadline=None)
+    def test_pic_matches_per_flag_reduction(self, g):
+        for q in range(g.n):
+            h = replace(g, q=q)
+            assert betti_table(h).pic_graded == per_flag_pic_table(h)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import c4, complete, cycle, grid_2x3, path, theta
+from conftest import c4, complete, cycle, grid_2x3, path, per_flag_pic_table, theta
 from toppling.cli import main
 from toppling.fields import get_field
 from toppling.flags import flag_divisor
@@ -200,6 +200,15 @@ class TestBetti:
         bt = betti_table(c4())
         top = sorted((j.rep, c) for (i, j), c in bt.pic_graded.items() if i == 3)
         assert top == [((3, 0, 1, 0), 1), ((3, 1, 0, 0), 1), ((4, 0, 0, 0), 1)]
+
+    def test_pic_matches_per_flag_reduction(self, graph_corpus):
+        # every corpus graph at every base vertex, C6, K5, K6 and the 2x3
+        # grid at every base vertex
+        graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+        graphs += [cycle(6), complete(5), complete(6)]
+        graphs += [grid_2x3(q) for q in range(6)]
+        for g in graphs:
+            assert betti_table(g).pic_graded == per_flag_pic_table(g)
 
     def test_totals_match_ranks(self):
         g = cycle(5)
