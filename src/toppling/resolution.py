@@ -3,9 +3,11 @@ the ideal and of its initial ideal, Betti tables, and self-verification."""
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from .divisors import PicClass, pic_class, q_reduce, hilbert_function
+from .divisors import PicClass, _reduce_effective, q_reduce, hilbert_function
 from .fields import PrimeField
 from .flags import (
     drop_first,
@@ -23,6 +25,7 @@ from .graphs import (
     divisor_add,
     divisor_sub,
     divisor_max,
+    neighbor_lists,
     zero_divisor,
 )
 from .poly import (
@@ -215,12 +218,37 @@ class BettiTable:
 
 
 def betti_table(g: PointedGraph) -> BettiTable:
-    """Graded Betti numbers of R/I_G by counting flags (no matrices)."""
-    pic = {(0, PicClass(zero_divisor(g.n))): 1}
+    """Graded Betti numbers of R/I_G by counting flags (no matrices).
+
+    U in S_k extends W = drop_first(U) in S_{k-1}, and D(U) = D(W) +
+    D(U_2 - U_1, U_1), with S_1 = {(V,)} and D((V,)) = 0.  So the class of
+    D(U) is that of r_W + D(U_2 - U_1, U_1), for r_W the q-reduced divisor of
+    W found one level down; that sum is effective off q, so only the firing
+    stage of q-reduction runs on it.  Only the reduced divisors of one
+    level are held at a time."""
+    zero = zero_divisor(g.n)
+    pic = {(0, PicClass(zero)): 1}
+    nbrs = neighbor_lists(g)
+    lower = {(frozenset(range(g.n)),): zero}   # chain -> reduced divisor
     for k in range(2, g.n + 1):
-        for uc in enumerate_minimal_flags(g, k):
-            key = (k - 1, pic_class(g, flag_divisor(g, uc)))
-            pic[key] = pic.get(key, 0) + 1
+        reps = {}
+        # the flags of S_k that extend one W come out consecutively, so W
+        # is looked up once per run
+        for tail, run in itertools.groupby(enumerate_minimal_flags(g, k),
+                                           key=lambda uc: uc.chain[1:]):
+            parent = lower[tail]
+            for uc in run:
+                u1 = uc.chain[0]
+                d = list(parent)
+                for v in tail[0] - u1:      # d += D(U_2 - U_1, U_1)
+                    for w, m in nbrs[v]:
+                        if w in u1:
+                            d[v] += m
+                _reduce_effective(g, g.q, d)
+                reps[uc.chain] = tuple(d)
+        for rep, c in Counter(reps.values()).items():
+            pic[(k - 1, PicClass(rep))] = c
+        lower = reps
     return BettiTable(pic)
 
 
@@ -263,7 +291,12 @@ def _check_lead_terms(res: FreeResolution):
 def _check_degrees(res: FreeResolution):
     """Each term of phi_t at (r, c) must carry basis element r of F_{t-1} into
     the Pic class of basis element c of F_t.  q-reduction keeps the degree, so
-    this also checks the Z-grading."""
+    this also checks the Z-grading.
+
+    The class of each basis element is q_reduce(D(U)), built and reduced
+    afresh per flag, so this check does not share betti_table's walk from
+    parent to child classes; `verify` checks betti_table's Pic table
+    against the minimalized Schreyer oracle."""
     g, q = res.g, res.g.q
     # reps[t][r] = class of basis element r of F_{t-1}; F_{-1} = R has class 0
     reps = [[zero_divisor(g.n)]] + [[q_reduce(g, q, flag_divisor(g, uc)) for uc in basis]
