@@ -44,6 +44,7 @@ from .resolution import (
     betti_table,
     buchberger_check,
     build_resolution,
+    build_resolutions,
     format_resolution,
     groebner_basis,
     hilbert_check,
@@ -68,6 +69,7 @@ __all__ = [
     "buchberger_check",
     "build_graph",
     "build_resolution",
+    "build_resolutions",
     "delta_complex",
     "dhar_burn",
     "division_normal_form",

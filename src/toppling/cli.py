@@ -11,6 +11,7 @@ classes, and only those, to exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,9 +38,11 @@ from .oracle import (
 )
 from .resolution import (
     IdentityViolation,
+    VARIANTS,
     ResolutionError,
     betti_table,
     build_resolution,
+    build_resolutions,
     format_resolution,
     groebner_basis,
     hilbert_check,
@@ -234,8 +237,7 @@ def _cmd_verify(g, args):
         return which in ("all", name)
 
     if want("complex"):
-        for variant in ("binomial", "monomial"):
-            verify_resolution(build_resolution(g, variant=variant, field=field))
+        verify_resolution(*build_resolutions(g, field=field))
         lines.append("complex ok")
     if want("hilbert") or want("schreyer") or want("hochster"):
         bt = betti_table(g)
@@ -293,8 +295,7 @@ def build_parser():
     p = sub.add_parser("resolution")
     common(p)
     p.add_argument("--field", default="prime")
-    p.add_argument("--variant", choices=("binomial", "monomial"),
-                   default="binomial")
+    p.add_argument("--variant", choices=VARIANTS, default="binomial")
 
     p = sub.add_parser("groebner")
     common(p)
@@ -332,6 +333,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """One parser per process, built at the first `main` call: parse_args
+    keeps no state between calls, and the tree of ten verbs costs about as
+    much to build as a small verb takes to run."""
+    return build_parser()
+
+
 _DISPATCH = {
     "betti": _cmd_betti,
     "resolution": _cmd_resolution,
@@ -348,7 +357,7 @@ _DISPATCH = {
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         g = parse_graph_file(args.graph)
         if args.q is not None:
             g = PointedGraph(g.n, g.mult, args.q - 1)

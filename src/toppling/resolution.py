@@ -137,33 +137,64 @@ class FreeResolution:
         return [len(b) for b in self.bases]
 
 
+VARIANTS = ("binomial", "monomial")
+
+
 def build_resolution(g: PointedGraph, variant="binomial", field=None) -> FreeResolution:
+    if variant not in VARIANTS:
+        raise ValueError(variant)
+    return _build(g, (variant,), field)[0]
+
+
+def build_resolutions(g: PointedGraph, field=None):
+    """[binomial, monomial] resolutions of g from one merge pass, each equal
+    to `build_resolution` of its variant and each checked as that is."""
+    return _build(g, VARIANTS, field)
+
+
+def _build(g, variants, field):
     if field is None:
         field = PrimeField()
-    if variant not in ("binomial", "monomial"):
-        raise ValueError(variant)
     order = bfs_term_order(g)
     bases = [enumerate_minimal_flags(g, k) for k in range(2, g.n + 1)]
-    # phi_0: the generators lifted to row 0 of R
-    diffs = [[lift(b.poly(field)) if variant == "binomial" else {(0, b.lead): field.one}
-              for b in groebner_basis(g)]]
+    gens = groebner_basis(g)
+    out = []
+    for variant, diffs in zip(variants, _merge_differentials(g, field, bases, variants)):
+        # phi_0: the generators lifted to row 0 of R, lead terms only for in(I)
+        phi0 = [lift(b.poly(field)) if variant == "binomial" else {(0, b.lead): field.one}
+                for b in gens]
+        res = FreeResolution(g, field, order, bases, [phi0] + diffs)
+        _check_composition(res)
+        _check_unit_entries(res)
+        out.append(res)
+    return out
+
+
+def _merge_differentials(g, field, bases, variants):
+    """phi_1, phi_2, ... of each variant from one pass over the merge
+    records.  A record's row, sign and theta are taken once; a merge inside
+    G(U) enters the column of every variant, a merge inside some o_j(U)
+    only the binomial one."""
+    one, minus = field.one, field.neg(field.one)
+    out = [[] for _ in variants]      # out[i][t-1]: the columns of phi_t, variant i
     for t in range(1, len(bases)):
-        lower = bases[t - 1]
-        cols = []
+        position = bases[t - 1].position
+        for diffs in out:
+            diffs.append([])
         for uc in bases[t]:
-            col = {}
+            cols = [{} for _ in variants]
+            for diffs, col in zip(out, cols):
+                diffs[-1].append(col)
+            # rec.from_reversal -> the columns the record enters
+            into = (cols, [col for v, col in zip(variants, cols) if v == "binomial"])
             for rec in merge_records(g, uc):
-                if variant == "monomial" and rec.from_reversal:
-                    continue
-                coeff = field.one if record_sign(rec) > 0 else field.neg(field.one)
-                add_into(field, col, {(lower.position[rec.flag],
-                                       record_theta(g, uc, rec)): coeff})
-            cols.append(col)
-        diffs.append(cols)
-    res = FreeResolution(g, field, order, bases, diffs)
-    _check_composition(res)
-    _check_unit_entries(res)
-    return res
+                targets = into[rec.from_reversal]
+                if targets:
+                    term = {(position[rec.flag], record_theta(g, uc, rec)):
+                            one if record_sign(rec) > 0 else minus}
+                    for col in targets:
+                        add_into(field, col, term)
+    return out
 
 
 def _check_composition(res):
@@ -255,16 +286,21 @@ def betti_table(g: PointedGraph) -> BettiTable:
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_resolution(res: FreeResolution):
-    """Check the Schreyer lead terms, then the gradings, of a built
-    resolution; raise LeadingTermMismatch or IdentityViolation at the first
-    failure.
+def verify_resolution(res: FreeResolution, *others: FreeResolution):
+    """Check the Schreyer lead terms of each built resolution of one graph,
+    then the gradings of their terms; raise LeadingTermMismatch or
+    IdentityViolation at the first failure.  A term that two resolutions
+    share (same level, row, column and exponent) has its degree checked once.
 
     phi . phi = 0 and the absence of unit entries are not rechecked here:
     `build_resolution` raises CompositionNonzero or UnitEntry instead of
     returning a resolution that fails either."""
-    _check_lead_terms(res)
-    _check_degrees(res)
+    if any(other.g != res.g for other in others):
+        raise ValueError("resolutions of different graphs")
+    resolutions = (res, *others)
+    for each in resolutions:
+        _check_lead_terms(each)
+    _check_degrees(resolutions)
 
 
 def _check_lead_terms(res: FreeResolution):
@@ -288,22 +324,26 @@ def _check_lead_terms(res: FreeResolution):
         morder = morder.pulled_back(leads)
 
 
-def _check_degrees(res: FreeResolution):
+def _check_degrees(resolutions):
     """Each term of phi_t at (r, c) must carry basis element r of F_{t-1} into
     the Pic class of basis element c of F_t.  q-reduction keeps the degree, so
-    this also checks the Z-grading.
+    this also checks the Z-grading.  The resolutions are of one graph, so
+    they share their bases, and each distinct term is reduced once over the
+    union of their columns.
 
     The class of each basis element is q_reduce(D(U)), built and reduced
     afresh per flag, so this check does not share betti_table's walk from
     parent to child classes; `verify` checks betti_table's Pic table
     against the minimalized Schreyer oracle."""
-    g, q = res.g, res.g.q
+    first = resolutions[0]
+    g, q = first.g, first.g.q
     # reps[t][r] = class of basis element r of F_{t-1}; F_{-1} = R has class 0
     reps = [[zero_divisor(g.n)]] + [[q_reduce(g, q, flag_divisor(g, uc)) for uc in basis]
-                                    for basis in res.bases]
-    for t, cols in enumerate(res.diffs):
-        for c, col in enumerate(cols):
-            for r, e in col:
+                                    for basis in first.bases]
+    for t, cols in enumerate(first.diffs):
+        for c in range(len(cols)):
+            for r, e in dict.fromkeys(itertools.chain.from_iterable(
+                    res.diffs[t][c] for res in resolutions)):
                 if q_reduce(g, q, divisor_add(e, reps[t][r])) != reps[t + 1][c]:
                     raise IdentityViolation(f"Pic-degree clash in phi_{t} at ({r},{c})")
 

@@ -3,6 +3,10 @@ import copy
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,11 +287,12 @@ class TestVerify:
                                            which, name):
         real = getattr(cli, name)
 
-        def higher_lead(res):
-            # x^(9,9,9,9) at row 0 outranks the lead of column 0 of phi_1
-            bad = copy.deepcopy(res)
+        def higher_lead(*resolutions):
+            # x^(9,9,9,9) at row 0 outranks the lead of column 0 of phi_1 in
+            # the last resolution (the monomial one), the others left intact
+            bad = copy.deepcopy(resolutions[-1])
             add_into(bad.field, bad.diffs[1][0], {(0, (9, 9, 9, 9)): bad.field.one})
-            return real(bad)
+            return real(*resolutions[:-1], bad)
 
         def one_extra(sres):
             bt = real(sres)
@@ -323,6 +328,31 @@ class TestVerify:
         flip_first_sign()
         assert main(["verify", "--graph", c4_file, "--oracle", "complex"]) == 2
         assert "phi_0 . phi_1 nonzero" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_calls_match_first_calls(self, c4_file, capsys):
+        # each call in one process prints and exits as it does as the first
+        # call of a fresh process: no state leaks through the shared parser
+        calls = [
+            ["betti", "--graph", c4_file, "--grading", "Pic"],
+            ["betti", "--graph", c4_file],
+            ["betti", "--graph", c4_file, "--grading", "Q"],
+            ["verify", "--graph", c4_file],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        first = [subprocess.run([sys.executable, "-m", "toppling.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=60)
+                 for argv in calls]
+        assert [p.returncode for p in first] == [0, 0, 1, 0]
+        for argv, fresh in zip(calls, first):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestExitCodes:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import c4, complete, cycle, grid_2x3, path, per_flag_pic_table, theta
+from toppling import resolution
 from toppling.cli import main
 from toppling.fields import get_field
 from toppling.flags import flag_divisor
@@ -19,6 +20,7 @@ from toppling.resolution import (
     betti_table,
     buchberger_check,
     build_resolution,
+    build_resolutions,
     format_resolution,
     groebner_basis,
     hilbert_check,
@@ -181,6 +183,71 @@ class TestVerify:
         bad.diffs[1][0] = {}
         with pytest.raises(LeadingTermMismatch, match=r"^phi_1 column 0 is zero$"):
             verify_resolution(bad)
+
+
+class TestSharedPass:
+    """`build_resolutions` takes both complexes from one merge pass, and
+    `verify_resolution` checks each distinct term's degree once over both."""
+
+    def test_matches_separate_builds(self, graph_corpus):
+        # every corpus graph at every base vertex, C6, K5, K6 and the 2x3 grid
+        graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+        graphs += [cycle(6), complete(5), complete(6), grid_2x3(0)]
+        for g in graphs:
+            binomial, monomial = build_resolutions(g)
+            assert format_resolution(binomial) == \
+                format_resolution(build_resolution(g, "binomial"))
+            assert format_resolution(monomial) == \
+                format_resolution(build_resolution(g, "monomial"))
+            # every monomial term sits in its binomial column with the same
+            # coefficient, phi_0 included (lead terms only)
+            for bcols, mcols in zip(binomial.diffs, monomial.diffs, strict=True):
+                for bcol, mcol in zip(bcols, mcols, strict=True):
+                    assert all(bcol.get(term) == a for term, a in mcol.items())
+
+    def test_degree_fault_in_monomial_only(self):
+        # x4 -> 1 at row 3 of phi_1 column 0 of the monomial complex: a term
+        # below the lead that the binomial column does not have, so only a
+        # degree check over the union of both complexes' terms sees it
+        binomial, monomial = build_resolutions(c4())
+        bad = copy.deepcopy(monomial)
+        col = bad.diffs[1][0]
+        col[(3, (0, 0, 0, 0))] = col.pop((3, (0, 0, 0, 1)))
+        assert (3, (0, 0, 0, 0)) not in binomial.diffs[1][0]
+        with pytest.raises(IdentityViolation,
+                           match=r"^Pic-degree clash in phi_1 at \(3,0\)$"):
+            verify_resolution(binomial, bad)
+
+    def test_lead_fault_in_monomial_only(self):
+        binomial, monomial = build_resolutions(c4())
+        bad = copy.deepcopy(monomial)
+        add_into(bad.field, bad.diffs[1][0], {(0, (9, 9, 9, 9)): bad.field.one})
+        with pytest.raises(LeadingTermMismatch,
+                           match=r"^phi_1 column 0: lead \(0,\(9, 9, 9, 9\)\) != "):
+            verify_resolution(binomial, bad)
+
+    def test_sign_fault_in_monomial_only(self, monkeypatch):
+        # the monomial complex gets one sign flipped just before its own
+        # composition check, after the binomial one has passed its check
+        real = resolution._check_composition
+        checked = []
+
+        def flip_monomial(res):
+            monomial = all(len(col) == 1 for col in res.diffs[0])
+            if monomial:
+                col = res.diffs[1][0]
+                term = next(iter(col))
+                col[term] = res.field.neg(col[term])
+            checked.append(monomial)
+            real(res)
+        monkeypatch.setattr(resolution, "_check_composition", flip_monomial)
+        with pytest.raises(CompositionNonzero, match=r"^phi_0 \. phi_1 nonzero at column 0,"):
+            build_resolutions(c4())
+        assert checked == [False, True]
+
+    def test_graphs_must_agree(self):
+        with pytest.raises(ValueError, match="different graphs"):
+            verify_resolution(build_resolution(c4()), build_resolution(complete(4)))
 
 
 class TestBetti:
