@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import c4, complete, cycle, grid_2x3, path, per_flag_pic_table, theta
+from conftest import c4, complete, corpus, cycle, grid_2x3, path, per_flag_pic_table, theta
 from toppling import resolution
 from toppling.cli import main
 from toppling.fields import get_field
@@ -320,6 +320,8 @@ GOLDEN_FAMILIES = {
     "K5": lambda q: build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)], q),
     "grid2x3": grid_2x3,
     "banana5": lambda q: build_graph(2, [(0, 1)] * 5, q),
+    "K6": lambda q: build_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)], q),
+    "corpus0": lambda q: build_graph(*corpus()[0], q),     # 6 vertices, doubled edges
 }
 
 # SHA-256 of format_resolution, pinned before the merge search moved to
@@ -341,6 +343,13 @@ GOLDEN_DIGESTS = {
     ("banana5", 0, "monomial"): "b088ba0c8e40ddfc8682e2ef0fcac0184bc4cdb8584f99bed5098059c742040a",
     ("banana5", 1, "binomial"): "a66b9638b4b4c12a8dd93350343fe4425b952346e79b9d988b8ae124240b8b64",
     ("banana5", 1, "monomial"): "8d67c3aa8f7d2cd1980496d90dcb9ba1850766f411790799391396e726acbbda",
+    # pinned before the merge path moved to vertex masks
+    ("K6", 0, "binomial"): "147e10a5d4618db310d77cacf8a64e2161b8038250e986c280db4463c1dd107e",
+    ("K6", 0, "monomial"): "9411b80cc2642e916e19021405b70b241997c23c964cd18a91c39cd442aa0ae0",
+    ("corpus0", 0, "binomial"): "35e33be2f64aeed944d3441f8aa7c5d548d9b916c707e1803b7bef9f29f3b842",
+    ("corpus0", 0, "monomial"): "ef9efdf45e6bf9eb239f0c0116d4ac9f9713296ffc6d0286fc33e57953cc5873",
+    ("corpus0", 3, "binomial"): "14ad12ea0c83aa5b17a6e27a0d465cb1e47658c1de0ef96fc70597f1d5df23bd",
+    ("corpus0", 3, "monomial"): "593ea0e4631b4a41852d0730ff339a14022ff1cafa98f8c5134f27b14f92f8ef",
 }
 
 
