@@ -16,6 +16,8 @@ from .graphs import (
     divisor_max,
     induced_connected,
     mask_connected,
+    neighbor_lists,
+    neighbor_masks,
 )
 
 
@@ -119,26 +121,6 @@ def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
 
 
 # ---------------------------------------------------------------------------
-# orders
-
-def subset_key(s):
-    """Total order on vertex sets: larger cardinality first, then lex."""
-    return (-len(s), tuple(sorted(s)))
-
-
-def flag_sort_key(uc: ConnectedFlag):
-    # <_k compares at the largest level where the chains differ; the top level
-    # is always V(G), so scan levels k-2 .. 0.
-    return tuple(subset_key(uc.chain[i]) for i in range(uc.k - 2, -1, -1))
-
-
-def flag_less(u: ConnectedFlag, v: ConnectedFlag) -> bool:
-    if u.k != v.k:
-        raise LengthMismatch(f"{u.k} != {v.k}")
-    return flag_sort_key(u) < flag_sort_key(v)
-
-
-# ---------------------------------------------------------------------------
 # orientations
 
 def _part_index(g: PointedGraph, parts):
@@ -229,7 +211,8 @@ def _reversed_arcs(arcs, j):
 # set iff vertex v is in the set)
 
 def mask_rank(n, m):
-    """subset_key order on the vertex masks of an n-vertex graph as one int:
+    """The order of vertex sets that <_k compares level by level (larger
+    sets first, then lex) on the masks of an n-vertex graph, as one int:
     (n - |m|) * 2^n + (2^n - 1 - bitreverse_n(m)).  Among sets of one size,
     the set holding the least vertex where two differ comes first, and
     reversing the bits puts vertex 0 highest."""
@@ -251,6 +234,20 @@ def _frozen(g: PointedGraph, m):
         s = sets[m] = frozenset(v for v in range(g.n) if m >> v & 1)
         masks[s] = m
     return s
+
+
+def _chain_masks(g: PointedGraph, uc: ConnectedFlag):
+    """The vertex masks of uc's chain.  A set the enumerator did not build
+    (a hand-built flag) is converted once and interned."""
+    sets, masks = _interned(g)
+    try:
+        return tuple(map(masks.__getitem__, uc.chain))
+    except KeyError:
+        for s in uc.chain:
+            m = sum(1 << v for v in s)
+            masks.setdefault(s, m)
+            sets.setdefault(m, s)
+        return tuple(map(masks.__getitem__, uc.chain))
 
 
 def _split_masks(g: PointedGraph, w):
@@ -287,11 +284,28 @@ def enumerate_all_connected_flags(g: PointedGraph, k):
 
 
 class FlagBasis:
-    """Minimal representatives of k-flag classes, sorted by <_k."""
+    """Minimal representatives of k-flag classes of g, sorted by <_k."""
 
-    def __init__(self, flags):
+    def __init__(self, g: PointedGraph, flags):
         self.flags = tuple(flags)
-        self.position = {f: i for i, f in enumerate(self.flags)}
+        self._masks = _interned(g)[1]
+        self._n = g.n
+        self._rows = None       # packed chain masks -> position, built on the first lookup
+
+    def _packed(self, chain):
+        key = 0
+        for m in chain:
+            key = key << self._n | m
+        return key
+
+    def row(self, chain):
+        """The position of the flag whose chain has the vertex masks `chain`
+        (a tuple of ints), or None if no flag here has them."""
+        if self._rows is None:
+            masks = self._masks
+            self._rows = {self._packed(map(masks.__getitem__, f.chain)): i
+                          for i, f in enumerate(self.flags)}
+        return self._rows.get(self._packed(chain))
 
     def __len__(self):
         return len(self.flags)
@@ -312,7 +326,7 @@ def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
         flags = []
     else:
         flags = _drop_rule_flags(g, enumerate_minimal_flags(g, k - 1))
-    basis = FlagBasis(flags)
+    basis = FlagBasis(g, flags)
     g._cache[k] = basis
     return basis
 
@@ -413,59 +427,72 @@ class MergeError(RuntimeError):
     the library, not of its input."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MergeRecord:
     """Merge of parts (A_i, A_j) of a flag; i, j are 1-based part indices.
-    i < j is a merge inside G(U); i > j a merge inside o_j(U).  `parity` is
-    the sign of the permutation carrying the parts of `flag` to
-    (A_i | A_j, then the other parts of U in order)."""
+    i < j is a merge inside G(U); i > j a merge inside o_j(U).  `flag` is
+    the target in S_{k-1} and `row` its position there.  `parity` is the
+    sign of the permutation carrying the parts of `flag` to (A_i | A_j, then
+    the other parts of U in order)."""
 
     i: int
     j: int
     flag: ConnectedFlag
+    row: int
     from_reversal: bool
     parity: int
 
 
-def _fuse(parts, a, b):
-    """New part list with parts a and b fused (kept at position min(a,b))
-    plus the old->new index map, as a list."""
+def _oriented(up, down, j):
+    """(successor, predecessor) masks over the parts of o_j(U), from those
+    of G(U), `up` and `down`: o_j flips an arc iff exactly one of its ends
+    is below j."""
+    low = (1 << j) - 1
+    succ, pred = [], []
+    for x in range(len(up)):
+        if x < j:
+            succ.append(up[x] & low)
+            pred.append(down[x] | up[x] & ~low)
+        else:
+            succ.append(up[x] | down[x] & low)
+            pred.append(down[x] & ~low)
+    return succ, pred
+
+
+def _arcs(succ):
+    """The (tail, head) arcs of successor masks, sorted."""
+    return [(x, y) for x, m in enumerate(succ) for y in range(m.bit_length()) if m >> y & 1]
+
+
+def _merge_target(parts, keys, succ, pred, a, b, basis):
+    """(row, parity) for fusing parts a, b (0-based masks in `parts`) joined
+    by an arc of the part-level orientation `succ` / `pred` that has no
+    detour: row is the position in `basis` = S_{k-1} of the representative
+    of the fused orientation, and parity is the sign of the permutation
+    carrying the parts of that flag to (A_a | A_b, the rest in order).
+    keys[x] is the peel key of parts[x], (|A| << n) - lowest bit of A.
+
+    The fused part keeps index lo = min(a, b); on a mask of parts, part hi
+    moves to lo and the parts above hi move down one."""
     lo, hi = min(a, b), max(a, b)
-    new_parts = [*parts[:lo], parts[lo] | parts[hi], *parts[lo + 1:hi], *parts[hi + 1:]]
-    old_to_new = [x - (x > hi) for x in range(len(parts))]
-    old_to_new[hi] = lo
-    return new_parts, old_to_new
-
-
-def _quotient_arcs(arcs, old_to_new, drop_pair):
-    out = set()
-    for a, b in arcs:
-        if a in drop_pair and b in drop_pair:
-            continue
-        na, nb = old_to_new[a], old_to_new[b]
-        if na != nb:
-            out.add((na, nb))
-    return out
-
-
-def _merge_target(parts, keys, arcs, a, b, basis):
-    """(W, parity) for fusing parts a, b (0-based) joined by an arc of the
-    part-level orientation `arcs` that has no detour: W is the S_{k-1}
-    representative of the fused orientation, and parity is the sign of the
-    permutation carrying the parts of W to (A_a | A_b, the rest in order).
-    keys[x] is (size, -least vertex) of parts[x]."""
-    new_parts, old_to_new = _fuse(parts, a, b)
-    qarcs = _realigned_arcs(_quotient_arcs(arcs, old_to_new, frozenset((a, b))))
-    lo, hi = min(a, b), max(a, b)
-    new_keys = keys[:hi] + keys[hi + 1:]
-    new_keys[lo] = (keys[lo][0] + keys[hi][0], max(keys[lo][1], keys[hi][1]))
-    flag, order = _least_flag(new_parts, qarcs,
-                              sorted(range(len(new_keys)), key=new_keys.__getitem__))
-    idx = basis.position.get(flag)
-    if idx is None:
-        raise MergeError(f"merged orientation {sorted(qarcs)} has no class representative")
+    below, fused = (1 << hi) - 1, 1 << lo
+    qsucc = [m & below | m >> hi + 1 << hi | (m >> hi & 1) << lo for m in succ]
+    qpred = [m & below | m >> hi + 1 << hi | (m >> hi & 1) << lo for m in pred]
+    qsucc[lo] = (qsucc[lo] | qsucc.pop(hi)) & ~fused
+    qpred[lo] = (qpred[lo] | qpred.pop(hi)) & ~fused
+    _realign(qsucc, qpred)
+    new_parts, new_keys = parts[:], keys[:]
+    pa, pb = new_parts[lo], new_parts.pop(hi)
+    new_parts[lo] = pa | pb
+    # sizes add, and the lower of the two lowest bits stays
+    new_keys[lo] += new_keys.pop(hi) + max(pa & -pa, pb & -pb)
+    chain, order = _peel(new_parts, qsucc, sorted(range(len(new_keys)),
+                                                  key=new_keys.__getitem__))
+    row = basis.row(chain)
+    if row is None:
+        raise MergeError(f"merged orientation {_arcs(qsucc)} has no class representative")
     # moving the fused part (new index lo) to the front takes lo transpositions
-    return basis.flags[idx], (-1) ** lo * _parity(order)
+    return row, (-1) ** lo * _parity(order)
 
 
 def _parity(seq):
@@ -478,70 +505,59 @@ def _parity(seq):
     return -1 if inv % 2 else 1
 
 
-def _least_flag(parts, arcs, rank):
-    """The <_k-least flag whose parts, in order, run along the acyclic `arcs`,
-    with the indices of `parts` in its order.  <_k compares from the top
-    level down, so peel, level by level, the sink part P that leaves the
-    subset_key-least prefix C - P.  That is the smallest sink and, among
-    sinks of one size, the one whose least vertex is largest (the parts are
-    disjoint, so the other prefix keeps that vertex): the first sink in
-    `rank`, the part indices sorted by (size, -least vertex)."""
-    k = len(parts)
-    out = [0] * k
-    for t, h in arcs:
-        out[t] |= 1 << h
-    left = (1 << k) - 1
+def _peel(parts, succ, rank):
+    """(chain masks, order) of the <_k-least flag whose parts, in order, run
+    along the acyclic orientation with successor masks `succ`; order lists
+    the indices of `parts` in the flag's order.  <_k compares from the top
+    level down, so peel, level by level, the sink P that leaves the least
+    prefix C - P (larger sets first, then lex).  That is the smallest sink
+    and, among sinks of one size, the one whose least vertex is largest (the
+    parts are disjoint, so the other prefix keeps that vertex): the first
+    sink in `rank`, the part indices sorted by (size, -least vertex)."""
+    left = (1 << len(parts)) - 1
     order = []
-    for _ in range(k - 1):
+    for _ in range(len(parts) - 1):
         for x in rank:
-            if left >> x & 1 and not out[x] & left:
+            if not succ[x] & left:
                 break
         else:
-            raise MergeError(f"cyclic orientation {sorted(arcs)}: no sink left")
+            raise MergeError(f"cyclic orientation {_arcs(succ)}: no sink left")
+        rank.remove(x)
         left ^= 1 << x
         order.append(x)
-    order.append(left.bit_length() - 1)
+    order += rank
     order.reverse()
-    return ConnectedFlag(tuple(itertools.accumulate([parts[x] for x in order],
-                                                    operator.or_))), order
+    return tuple(itertools.accumulate([parts[x] for x in order], operator.or_)), order
 
 
-def _realigned_arcs(arcs):
-    """The orientation push-equivalent to `arcs`, an acyclic orientation of
-    a connected quotient, whose unique source is node 0 (q's part; _fuse
+def _realign(succ, pred):
+    """Make, in place, the acyclic orientation of a connected quotient with
+    successor masks `succ` and predecessor masks `pred` the one
+    push-equivalent to it whose unique source is node 0 (q's part; a fuse
     never moves part 0): while another node is a source, reverse all of its
-    arcs, smallest node first.  Pushes keep the indegree divisor's class, and
-    each push class holds exactly one such orientation (Gioan, Enumerating
-    degree sequences in digraphs and a cycle-cocycle reversing system, 2007;
-    Benson-Chakrabarty-Tetali, G-parking functions, acyclic orientations and
-    spanning trees, 2010), so one already of that form comes back unchanged.
-    MergeError: node 0 is left with an incoming arc, so `arcs` had a cycle.
-    Sources are read off per-node successor and predecessor masks, and a
-    push flips its node's arcs in place."""
-    arcs = set(arcs)
-    size = max(map(max, arcs), default=0) + 1
-    succ = [0] * size
-    pred = [0] * size
-    for t, h in arcs:
-        succ[t] |= 1 << h
-        pred[h] |= 1 << t
+    arcs, smallest node first.  Pushes keep the indegree divisor's class,
+    and each push class holds exactly one such orientation (Gioan,
+    Enumerating degree sequences in digraphs and a cycle-cocycle reversing
+    system, 2007; Benson-Chakrabarty-Tetali, G-parking functions, acyclic
+    orientations and spanning trees, 2010), so one already of that form is
+    left unchanged.  MergeError: node 0 is left with an incoming arc, so
+    the orientation had a cycle."""
     x = 1
-    while x < size:
+    while x < len(succ):
         if pred[x] or not succ[x]:
             x += 1
             continue
         bit, heads = 1 << x, succ[x]
         succ[x], pred[x] = 0, heads
-        for y in range(size):
-            if heads >> y & 1:
-                arcs.remove((x, y))
-                arcs.add((y, x))
-                succ[y] |= bit
-                pred[y] &= ~bit
+        while heads:
+            low = heads & -heads
+            y = low.bit_length() - 1
+            succ[y] |= bit
+            pred[y] &= ~bit
+            heads ^= low
         x = 1
     if pred[0]:
-        raise MergeError(f"cyclic orientation {sorted(arcs)}: node 0 has an incoming arc")
-    return arcs
+        raise MergeError(f"cyclic orientation {_arcs(succ)}: node 0 has an incoming arc")
 
 
 def merge_records(g: PointedGraph, uc: ConnectedFlag):
@@ -559,31 +575,45 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
     - o_j(U) runs up within 0..j-1 and within j..k-1, and down from j..k-1
       to 0..j-1, so a path from a climbs the upper parts, steps down once
       and climbs to b; another path exists iff a steps down into an ancestor
-      of b, or a part that a climbs to is adjacent to b or to one of them."""
+      of b, or a part that a climbs to is adjacent to b or to one of them.
+
+    The parts are vertex masks, read off uc's chain once, and every set of
+    parts is an int mask over the part indices."""
     k = uc.k
-    parts = uc.parts()
+    chain = _chain_masks(g, uc)
+    parts = [chain[0], *(c ^ p for p, c in zip(chain, chain[1:]))]
     basis = enumerate_minimal_flags(g, k - 1)
-    keys = [(len(p), -min(p)) for p in parts]
-    adjacent = sorted(_chain_arcs(g, parts))    # G(U): (a, b) with a < b
-    adj = [0] * k       # the parts adjacent to part a
+    nbr = neighbor_masks(g)
+    keys = [(p.bit_count() << g.n) - (p & -p) for p in parts]
+    up = [0] * k        # G(U): the parts adjacent to part a above it
+    down = [0] * k      # G(U): the parts adjacent to part b below it
     anc = [0] * k       # the parts with a path to part b in G(U)
-    for a, b in adjacent:       # sorted, so anc[a] is complete here
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        anc[b] |= anc[a] | 1 << a
+    adjacent = []       # G(U): (a, b) with a < b
+    for b, p in enumerate(parts):
+        around = 0      # the vertices adjacent to part b
+        while p:
+            low = p & -p
+            around |= nbr[low.bit_length() - 1]
+            p ^= low
+        for a in range(b):      # anc[a] is complete here
+            if around & parts[a]:
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+                anc[b] |= anc[a] | 1 << a
+                adjacent.append((a, b))
+    adjacent.sort()
     climb = [0] * k     # the parts adjacent to a part that a reaches in G(U)
     for a, b in reversed(adjacent):     # climb[b] is complete here
-        climb[a] |= climb[b] | adj[b]
+        climb[a] |= climb[b] | up[b] | down[b]
     records = []
     for a, b in adjacent:
-        if not (adj[a] & anc[b]) >> (a + 1):
-            flag, parity = _merge_target(parts, keys, adjacent, a, b, basis)
-            records.append(MergeRecord(a + 1, b + 1, flag, False, parity))
+        if not up[a] & anc[b]:
+            row, parity = _merge_target(parts, keys, up, down, a, b, basis)
+            records.append(MergeRecord(a + 1, b + 1, basis.flags[row], row, False, parity))
     for b, a in adjacent:
-        if not (adj[a] | climb[a]) & anc[b] and not climb[a] >> b & 1:
-            flag, parity = _merge_target(parts, keys, _reversed_arcs(adjacent, b + 1),
-                                         a, b, basis)
-            records.append(MergeRecord(a + 1, b + 1, flag, True, parity))
+        if not (up[a] | down[a] | climb[a]) & anc[b] and not climb[a] >> b & 1:
+            row, parity = _merge_target(parts, keys, *_oriented(up, down, b + 1), a, b, basis)
+            records.append(MergeRecord(a + 1, b + 1, basis.flags[row], row, True, parity))
     return records
 
 
@@ -605,12 +635,22 @@ def record_sign(rec: MergeRecord) -> int:
 
 
 def record_theta(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord):
-    return boundary_divisor(g, _part(uc, rec.j - 1), _part(uc, rec.i - 1))
+    """D(A_j, A_i): for v in A_j, its edge count into A_i."""
+    chain = _chain_masks(g, uc)
+    ai, aj = _part(chain, rec.i - 1), _part(chain, rec.j - 1)
+    nbrs = neighbor_lists(g)
+    d = [0] * g.n
+    while aj:
+        low = aj & -aj
+        v = low.bit_length() - 1
+        d[v] = sum(m for w, m in nbrs[v] if ai >> w & 1)
+        aj ^= low
+    return tuple(d)
 
 
-def _part(uc: ConnectedFlag, x):
-    """Part A_{x+1} of uc."""
-    return uc.chain[x] - uc.chain[x - 1] if x else uc.chain[0]
+def _part(chain, x):
+    """The mask of part A_{x+1} of a chain of vertex masks."""
+    return chain[x] ^ chain[x - 1] if x else chain[0]
 
 
 def _records_for(g, uc, wc):

@@ -7,10 +7,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .divisors import PicClass, _reduce_effective, q_reduce, hilbert_function
+from .divisors import PicClass, _reduce_effective, hilbert_function
 from .fields import PrimeField
 from .flags import (
-    drop_first,
+    _chain_masks,
     enumerate_minimal_flags,
     flag_divisor,
     merge_records,
@@ -178,7 +178,6 @@ def _merge_differentials(g, field, bases, variants):
     one, minus = field.one, field.neg(field.one)
     out = [[] for _ in variants]      # out[i][t-1]: the columns of phi_t, variant i
     for t in range(1, len(bases)):
-        position = bases[t - 1].position
         for diffs in out:
             diffs.append([])
         for uc in bases[t]:
@@ -190,7 +189,7 @@ def _merge_differentials(g, field, bases, variants):
             for rec in merge_records(g, uc):
                 targets = into[rec.from_reversal]
                 if targets:
-                    term = {(position[rec.flag], record_theta(g, uc, rec)):
+                    term = {(rec.row, record_theta(g, uc, rec)):
                             one if record_sign(rec) > 0 else minus}
                     for col in targets:
                         add_into(field, col, term)
@@ -312,7 +311,7 @@ def _check_lead_terms(res: FreeResolution):
     for t, (basis, cols) in enumerate(zip(res.bases, res.diffs)):
         leads = []
         for c, uc in enumerate(basis):
-            want = (res.bases[t - 1].position[drop_first(uc)] if t else 0,
+            want = (res.bases[t - 1].row(_chain_masks(g, uc)[1:]) if t else 0,
                     boundary_divisor(g, uc.chain[1] - uc.chain[0], uc.chain[0]))
             if not cols[c]:
                 raise LeadingTermMismatch(f"phi_{t} column {c} is zero")
@@ -331,20 +330,27 @@ def _check_degrees(resolutions):
     they share their bases, and each distinct term is reduced once over the
     union of their columns.
 
-    The class of each basis element is q_reduce(D(U)), built and reduced
-    afresh per flag, so this check does not share betti_table's walk from
-    parent to child classes; `verify` checks betti_table's Pic table
-    against the minimalized Schreyer oracle."""
+    The class of each basis element is the reduction of D(U), built and
+    reduced afresh per flag, so this check does not share betti_table's walk
+    from parent to child classes; `verify` checks betti_table's Pic table
+    against the minimalized Schreyer oracle.  D(U) is effective, and so is
+    e + r off q for an exponent e and a q-reduced r, so only the firing
+    stage of q-reduction runs."""
     first = resolutions[0]
-    g, q = first.g, first.g.q
+    g = first.g
+
+    def reduced(d):
+        d = list(d)
+        _reduce_effective(g, g.q, d)
+        return tuple(d)
     # reps[t][r] = class of basis element r of F_{t-1}; F_{-1} = R has class 0
-    reps = [[zero_divisor(g.n)]] + [[q_reduce(g, q, flag_divisor(g, uc)) for uc in basis]
+    reps = [[zero_divisor(g.n)]] + [[reduced(flag_divisor(g, uc)) for uc in basis]
                                     for basis in first.bases]
     for t, cols in enumerate(first.diffs):
         for c in range(len(cols)):
             for r, e in dict.fromkeys(itertools.chain.from_iterable(
                     res.diffs[t][c] for res in resolutions)):
-                if q_reduce(g, q, divisor_add(e, reps[t][r])) != reps[t + 1][c]:
+                if reduced(divisor_add(e, reps[t][r])) != reps[t + 1][c]:
                     raise IdentityViolation(f"Pic-degree clash in phi_{t} at ({r},{c})")
 
 

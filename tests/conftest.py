@@ -4,7 +4,7 @@ from collections import Counter, deque
 import pytest
 
 from toppling.divisors import PicClass, dhar_burn, fire_set, pic_class
-from toppling.flags import enumerate_minimal_flags, flag_divisor
+from toppling.flags import LengthMismatch, enumerate_minimal_flags, flag_divisor
 from toppling.graphs import bfs_order, build_graph, total_orientations, zero_divisor
 
 
@@ -32,6 +32,24 @@ def theta(m):
 
 def grid_2x3(q=0):
     return build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], q)
+
+
+def subset_key(s):
+    """Total order on vertex sets: larger cardinality first, then lex."""
+    return (-len(s), tuple(sorted(s)))
+
+
+def flag_sort_key(uc):
+    """<_k as a sort key: it compares at the largest level where the chains
+    differ; the top level is always V(G), so scan levels k-2 .. 0."""
+    return tuple(subset_key(uc.chain[i]) for i in range(uc.k - 2, -1, -1))
+
+
+def flag_less(u, v):
+    """u <_k v, by its definition on frozenset chains."""
+    if u.k != v.k:
+        raise LengthMismatch(f"{u.k} != {v.k}")
+    return flag_sort_key(u) < flag_sort_key(v)
 
 
 def digraph_is_acyclic(node_count, arcs):

@@ -8,7 +8,7 @@ import math
 import random
 from collections import defaultdict
 
-from conftest import c4, complete, cycle, path, scanned_unique_source, theta
+from conftest import c4, complete, cycle, flag_less, path, scanned_unique_source, theta
 from toppling.divisors import (
     effective_reduced_off_q,
     laplacian_of,
@@ -24,7 +24,6 @@ from toppling.flags import (
     enumerate_all_connected_flags,
     enumerate_minimal_flags,
     flag_divisor,
-    flag_less,
     kappa,
     merge_records,
     record_sign,
@@ -253,8 +252,8 @@ def test_criterion_1_c4_end_to_end():
     # coordinate maps: published row r <-> generator position, published
     # column c <-> flag position, via the published labels themselves
     genpos = [[(b.lead, b.trail) for b in gb].index(t) for t in GENS_PUBLISHED]
-    col1pos = [res.bases[1].position[uc] for uc in PHI1_COL_FLAGS]
-    col2pos = [res.bases[2].position[uc] for uc in PHI2_COL_FLAGS]
+    col1pos = [res.bases[1].flags.index(uc) for uc in PHI1_COL_FLAGS]
+    col2pos = [res.bases[2].flags.index(uc) for uc in PHI2_COL_FLAGS]
 
     phi1 = [[as_cell(field, row_entry(res.diffs[1][col1pos[c]], genpos[r]))
              for c in range(8)] for r in range(6)]

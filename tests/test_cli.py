@@ -359,12 +359,12 @@ class TestExitCodes:
     def test_merge_off_basis_exit_code(self, c4_file, capsys, monkeypatch):
         # a merged flag outside S_{k-1} is a failure of the closed form, not
         # bad input
-        real = flags._least_flag
+        real = flags._peel
 
-        def off_basis(parts, arcs, rank):
-            flag, order = real(parts, arcs, rank)
-            return flags.ConnectedFlag(flag.chain[::-1]), order
-        monkeypatch.setattr(flags, "_least_flag", off_basis)
+        def off_basis(parts, succ, rank):
+            chain, order = real(parts, succ, rank)
+            return chain[::-1], order
+        monkeypatch.setattr(flags, "_peel", off_basis)
         assert main(["resolution", "--graph", c4_file]) == 2
         assert "has no class representative" in capsys.readouterr().err
 

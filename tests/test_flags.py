@@ -9,9 +9,12 @@ from conftest import (
     complete,
     cycle,
     digraph_is_acyclic,
+    flag_less,
+    flag_sort_key,
     grid_2x3,
     path,
     scanned_unique_source,
+    subset_key,
 )
 from toppling import flags
 from toppling.divisors import q_reduce
@@ -44,9 +47,7 @@ from toppling.flags import (
     enumerate_all_connected_flags,
     enumerate_minimal_flags,
     flag_divisor,
-    flag_less,
     flag_orientation,
-    flag_sort_key,
     flags_equivalent,
     incidence_sign,
     kappa,
@@ -57,16 +58,11 @@ from toppling.flags import (
     pushforward_divisor,
     record_sign,
     reversal_orientation,
-    subset_key,
     theta,
     validate_flag,
     _chain_arcs,
     _expand_arcs,
-    _fuse,
-    _least_flag,
     _oj_arcs,
-    _quotient_arcs,
-    _realigned_arcs,
 )
 
 
@@ -432,7 +428,7 @@ class TestMerges:
         g = c4()
         s3 = enumerate_minimal_flags(g, 3)
         _, b_set = merge_sets(g, u_flag())
-        assert all(wc in s3.position for wc in b_set)
+        assert all(wc in s3.flags for wc in b_set)
 
     def test_signs_from_phi2_column(self):
         g = c4()
@@ -506,6 +502,63 @@ def peeled_least_flag(parts, arcs):
     return ConnectedFlag(tuple(reversed(chain)))
 
 
+def fuse(parts, a, b):
+    """The part list with parts a and b fused (kept at position min(a, b)),
+    and the old -> new index map as a list."""
+    lo, hi = min(a, b), max(a, b)
+    new_parts = [*parts[:lo], parts[lo] | parts[hi], *parts[lo + 1:hi], *parts[hi + 1:]]
+    old_to_new = [x - (x > hi) for x in range(len(parts))]
+    old_to_new[hi] = lo
+    return new_parts, old_to_new
+
+
+def quotient_arcs(arcs, old_to_new, drop_pair):
+    """The part-level arcs after a fuse: the arcs between the fused pair
+    go, and the others are renumbered."""
+    out = set()
+    for a, b in arcs:
+        if a in drop_pair and b in drop_pair:
+            continue
+        na, nb = old_to_new[a], old_to_new[b]
+        if na != nb:
+            out.add((na, nb))
+    return out
+
+
+def realigned_arcs(arcs):
+    """The push realignment on a set of part-level arcs: while a node other
+    than 0 is a source, reverse all of its arcs, smallest node first."""
+    arcs = set(arcs)
+    while True:
+        heads = {h for _, h in arcs}
+        sources = sorted({t for t, _ in arcs} - heads - {0})
+        if not sources:
+            return arcs
+        x = sources[0]
+        arcs = {(h, t) if t == x else (t, h) for t, h in arcs}
+
+
+def masks_of(arcs, size):
+    """(successor, predecessor) masks of the part-level `arcs`."""
+    succ, pred = [0] * size, [0] * size
+    for t, h in arcs:
+        succ[t] |= 1 << h
+        pred[h] |= 1 << t
+    return succ, pred
+
+
+def arcs_of(succ):
+    return {(x, y) for x, m in enumerate(succ) for y in range(len(succ)) if m >> y & 1}
+
+
+def mask_realigned(arcs, size):
+    """flags._realign on the part-level `arcs`, as a set of arcs."""
+    succ, pred = masks_of(arcs, size)
+    flags._realign(succ, pred)
+    assert masks_of(arcs_of(succ), size)[1] == pred
+    return arcs_of(succ)
+
+
 def perm_parity(delta, alpha):
     """Sign of the permutation carrying the part sequence delta to alpha."""
     pos = {part: idx for idx, part in enumerate(delta)}
@@ -545,10 +598,9 @@ class TestDropRuleGenerator:
             for uc, rec in records_of(g):
                 a, b = rec.i - 1, rec.j - 1
                 parts = uc.parts()
-                new_parts, old_to_new = _fuse(parts, a, b)
+                new_parts, old_to_new = fuse(parts, a, b)
                 arcs = _oj_arcs(g, parts, rec.j if rec.from_reversal else 0)
-                qarcs = _realigned_arcs(_quotient_arcs(arcs, old_to_new,
-                                                       frozenset((a, b))))
+                qarcs = realigned_arcs(quotient_arcs(arcs, old_to_new, frozenset((a, b))))
                 assert rec.flag == minima[uc.k - 1][_expand_arcs(g, new_parts, qarcs)]
                 checked[rec.from_reversal] += 1
         assert min(checked.values()) > 1000
@@ -568,9 +620,9 @@ class TestMergeSearch:
                     attempts += [(a, b, b + 1) for b, a in adjacent]
                     kept = set()
                     for a, b, j in attempts:
-                        _, old_to_new = _fuse(parts, a, b)
-                        qarcs = _quotient_arcs(_oj_arcs(g, parts, j), old_to_new,
-                                               frozenset((a, b)))
+                        _, old_to_new = fuse(parts, a, b)
+                        qarcs = quotient_arcs(_oj_arcs(g, parts, j), old_to_new,
+                                              frozenset((a, b)))
                         if digraph_is_acyclic(k - 1, qarcs):
                             kept.add((a + 1, b + 1, j > 0))
                         else:
@@ -582,22 +634,25 @@ class TestMergeSearch:
     def test_least_flag_by_rank_matches_peel(self, graph_corpus, monkeypatch):
         # one peel per record, and each equals the subset_key peel
         peels = []
-        real = flags._least_flag
+        real = flags._peel
 
-        def spy(parts, arcs, rank):
-            peels.append((parts, arcs, real(parts, arcs, rank)))
+        def spy(parts, succ, rank):
+            peels.append((parts, arcs_of(succ), real(parts, succ, rank)))
             return peels[-1][2]
-        monkeypatch.setattr(flags, "_least_flag", spy)
+        monkeypatch.setattr(flags, "_peel", spy)
         records = sum(1 for g in corpus_and_families(graph_corpus) for _ in records_of(g))
         assert len(peels) == records > 1000
-        for parts, arcs, (flag, order) in peels:
-            assert flag == peeled_least_flag(parts, arcs)
-            assert flag.parts() == tuple(parts[x] for x in order)
+        for parts, arcs, (chain, order) in peels:
+            sets = [frozenset(v for v in range(p.bit_length()) if p >> v & 1) for p in parts]
+            flag = ConnectedFlag(tuple(frozenset(v for v in range(m.bit_length()) if m >> v & 1)
+                                       for m in chain))
+            assert flag == peeled_least_flag(sets, arcs)
+            assert flag.parts() == tuple(sets[x] for x in order)
 
     def test_cyclic_peel_raises(self):
         # nodes 1 and 2 point at each other, and node 0 at node 1: no sink
         with pytest.raises(MergeError):
-            _least_flag([fs(1), fs(2), fs(3)], {(0, 1), (1, 2), (2, 1)}, [0, 1, 2])
+            flags._peel([0b001, 0b010, 0b100], [0b010, 0b100, 0b010], [0, 1, 2])
 
 
 class TestRealign:
@@ -609,24 +664,24 @@ class TestRealign:
                     continue
                 a, b = rec.i - 1, rec.j - 1
                 parts = uc.parts()
-                new_parts, old_to_new = _fuse(parts, a, b)
-                qarcs = _quotient_arcs(_oj_arcs(g, parts, b + 1), old_to_new,
-                                       frozenset((a, b)))
+                new_parts, old_to_new = fuse(parts, a, b)
+                qarcs = quotient_arcs(_oj_arcs(g, parts, b + 1), old_to_new,
+                                      frozenset((a, b)))
                 qnode = old_to_new[0]
-                assert _realigned_arcs(qarcs) == \
+                assert mask_realigned(qarcs, len(new_parts)) == realigned_arcs(qarcs) == \
                     scanned_arcs(g, new_parts, qarcs, qnode)
                 checked += 1
         assert checked > 1000
 
     def test_three_pushes(self):
         # path 0-1-2 with 2->1->0: push 2, then 1, then 2 again
-        assert _realigned_arcs({(2, 1), (1, 0)}) == {(0, 1), (1, 2)}
+        assert mask_realigned({(2, 1), (1, 0)}, 3) == {(0, 1), (1, 2)}
 
     def test_cyclic_quotient_raises(self):
         # arcs 0->1->2->0: no node off 0 is a source, so nothing is pushed
         # and node 0 keeps its incoming arc 2->0
         with pytest.raises(MergeError):
-            _realigned_arcs({(0, 1), (1, 2), (2, 0)})
+            mask_realigned({(0, 1), (1, 2), (2, 0)}, 3)
 
 
 class TestSign:
