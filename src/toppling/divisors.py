@@ -134,21 +134,21 @@ def q_reduce(g: PointedGraph, q, d):
         # BFS parent of v lies in the ball, so c >= 1
         _fire(g, d, ball, (-d[v] + c - 1) // c)
     # Stage 2: d is now non-negative off q.
-    _reduce_effective(g, q, d)
-    return tuple(d)
+    return _reduce_effective(g, q, d)
 
 
 def _reduce_effective(g: PointedGraph, q, d):
     """Stage 2 of q_reduce, in place on the list d, which must be
-    non-negative off q: fire the unburnt set until Dhar's fire consumes
-    everything, as many times at once as stays legal.  One fire takes from
-    v its count of edges into the burnt set, and the fire left v unburnt
-    because it holds at least that many.  Only those cut edges move chips."""
+    non-negative off q, returning the result as a tuple: fire the unburnt
+    set until Dhar's fire consumes everything, as many times at once as
+    stays legal.  One fire takes from v its count of edges into the burnt
+    set, and the fire left v unburnt because it holds at least that many.
+    Only those cut edges move chips."""
     nbrs = neighbor_lists(g)
     while True:
         burnt_order, burnt, count = _burn(g, q, d)
         if len(burnt_order) == g.n:
-            return
+            return tuple(d)
         rim = [v for v in range(g.n) if not burnt[v] and count[v]]
         times = min(d[v] // count[v] for v in rim)
         for v in rim:

@@ -124,45 +124,59 @@ def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
 # orientations
 
 def _part_index(g: PointedGraph, parts):
-    pidx = [None] * g.n
-    for a, part in enumerate(parts):
-        for v in part:
-            pidx[v] = a
-    return pidx
+    """The part of each vertex, for parts given as vertex masks."""
+    return [x for v in range(g.n) for x, p in enumerate(parts) if p >> v & 1]
 
 
-def _expand_arcs(g: PointedGraph, parts, arcs):
-    """Vertex arcs from part-level arcs (set of (a, b) = a -> b); pairs
-    inside one part stay unoriented."""
+def _part_graph(g: PointedGraph, uc: ConnectedFlag):
+    """G(U) over the parts of uc, read off the graph's neighbour masks:
+    (parts, up, down, anc, arcs) with parts the vertex masks of A_1..A_k,
+    up[a] the mask of the parts adjacent to part a above it, down[b] that
+    of the parts adjacent to part b below it, anc[b] that of the parts with
+    a path to part b, and arcs the pairs (a, b), a < b, of adjacent parts,
+    sorted."""
+    chain = _chain_masks(g, uc)
+    parts = [chain[0], *(c ^ p for p, c in zip(chain, chain[1:]))]
+    nbr = neighbor_masks(g)
+    up, down, anc, arcs = [0] * uc.k, [0] * uc.k, [0] * uc.k, []
+    for b, p in enumerate(parts):
+        around = 0      # the vertices adjacent to part b
+        while p:
+            low = p & -p
+            around |= nbr[low.bit_length() - 1]
+            p ^= low
+        for a in range(b):      # anc[a] is complete here
+            if around & parts[a]:
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+                anc[b] |= anc[a] | 1 << a
+                arcs.append((a, b))
+    arcs.sort()
+    return parts, up, down, anc, arcs
+
+
+def _oriented(up, down, j):
+    """(successor, predecessor) masks over the parts of o_j(U), from those
+    of G(U), `up` and `down`: o_j flips an arc iff exactly one of its ends
+    is below j."""
+    low = (1 << j) - 1
+    return ([u & low if x < j else u | d & low for x, (u, d) in enumerate(zip(up, down))],
+            [d | u & ~low if x < j else d & ~low for x, (u, d) in enumerate(zip(up, down))])
+
+
+def _vertex_arcs(g: PointedGraph, parts, succ):
+    """The (tail, head) vertex arcs of the orientation of the parts with
+    successor masks `succ`; pairs inside one part stay unoriented."""
     pidx = _part_index(g, parts)
-    out = set()
-    for u, v in g.adjacent_pairs():
-        pu, pv = pidx[u], pidx[v]
-        if (pu, pv) in arcs:
-            out.add((u, v))
-        elif (pv, pu) in arcs:
-            out.add((v, u))
-        elif pu != pv:
-            raise FlagError("cross-part pair without an arc")
-    return frozenset(out)
-
-
-def _chain_arcs(g: PointedGraph, parts):
-    """G(U): every adjacent part pair oriented from the lower part."""
-    pidx = _part_index(g, parts)
-    arcs = set()
-    for u, v in g.adjacent_pairs():
-        pu, pv = pidx[u], pidx[v]
-        if pu != pv:
-            arcs.add((pu, pv) if pu < pv else (pv, pu))
-    return arcs
+    return frozenset((u, v) if succ[pidx[u]] >> pidx[v] & 1 else (v, u)
+                     for u, v in g.adjacent_pairs() if pidx[u] != pidx[v])
 
 
 def flag_orientation(g: PointedGraph, uc: ConnectedFlag):
     """G(U) as a frozenset of (tail, head) vertex arcs: every edge between
     parts runs from the lower part; edges inside a part have no arc."""
-    parts = uc.parts()
-    return _expand_arcs(g, parts, _chain_arcs(g, parts))
+    parts, up, *_ = _part_graph(g, uc)
+    return _vertex_arcs(g, parts, up)
 
 
 def flag_divisor(g: PointedGraph, uc: ConnectedFlag):
@@ -191,19 +205,8 @@ def reversal_orientation(g: PointedGraph, uc: ConnectedFlag, j):
     flag_orientation."""
     if not 0 <= j <= uc.k:
         raise BadPartIndex(f"reversal index j={j} outside 0..{uc.k}")
-    parts = uc.parts()
-    return _expand_arcs(g, parts, _oj_arcs(g, parts, j))
-
-
-def _oj_arcs(g: PointedGraph, parts, j):
-    return _reversed_arcs(_chain_arcs(g, parts), j)
-
-
-def _reversed_arcs(arcs, j):
-    """o_j of the arcs of G(U): flip, in turn, all arcs between A_1..A_j and
-    their complements, so an arc ends up flipped iff exactly one of its ends
-    is below j."""
-    return {(b, a) if (a < j) != (b < j) else (a, b) for a, b in arcs}
+    parts, up, down, *_ = _part_graph(g, uc)
+    return _vertex_arcs(g, parts, _oriented(up, down, j)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +240,14 @@ def _frozen(g: PointedGraph, m):
 
 
 def _chain_masks(g: PointedGraph, uc: ConnectedFlag):
-    """The vertex masks of uc's chain.  A set the enumerator did not build
-    (a hand-built flag) is converted once and interned."""
-    sets, masks = _interned(g)
+    """The vertex masks of uc's chain.  A set the graph has not interned (of
+    a hand-built flag) is converted once."""
+    masks = _interned(g)[1]
     try:
         return tuple(map(masks.__getitem__, uc.chain))
     except KeyError:
         for s in uc.chain:
-            m = sum(1 << v for v in s)
-            masks.setdefault(s, m)
-            sets.setdefault(m, s)
+            masks.setdefault(s, sum(1 << v for v in s))
         return tuple(map(masks.__getitem__, uc.chain))
 
 
@@ -284,15 +285,17 @@ def enumerate_all_connected_flags(g: PointedGraph, k):
 
 
 class FlagBasis:
-    """Minimal representatives of k-flag classes of g, sorted by <_k."""
+    """Minimal representatives of k-flag classes of g, sorted by <_k, with
+    `row` finding a flag by the vertex masks of its chain."""
 
     def __init__(self, g: PointedGraph, flags):
         self.flags = tuple(flags)
         self._masks = _interned(g)[1]
         self._n = g.n
-        self._rows = None       # packed chain masks -> position, built on the first lookup
+        self._rows = None       # packed chain -> position, built on the first lookup
 
     def _packed(self, chain):
+        """The masks as one int, n bits each: a smaller key than a tuple."""
         key = 0
         for m in chain:
             key = key << self._n | m
@@ -389,7 +392,7 @@ def kappa(g: PointedGraph, w: ConnectedFlag, v: ConnectedFlag):
 
 def contract(g: PointedGraph, uc: ConnectedFlag):
     """(G_/U, vertex_map): part A_i becomes vertex i-1; q' = 0."""
-    parts = uc.parts()
+    parts = _part_graph(g, uc)[0]
     k = len(parts)
     pidx = _part_index(g, parts)
     mult = [[0] * k for _ in range(k)]
@@ -443,37 +446,20 @@ class MergeRecord:
     parity: int
 
 
-def _oriented(up, down, j):
-    """(successor, predecessor) masks over the parts of o_j(U), from those
-    of G(U), `up` and `down`: o_j flips an arc iff exactly one of its ends
-    is below j."""
-    low = (1 << j) - 1
-    succ, pred = [], []
-    for x in range(len(up)):
-        if x < j:
-            succ.append(up[x] & low)
-            pred.append(down[x] | up[x] & ~low)
-        else:
-            succ.append(up[x] | down[x] & low)
-            pred.append(down[x] & ~low)
-    return succ, pred
-
-
 def _arcs(succ):
     """The (tail, head) arcs of successor masks, sorted."""
     return [(x, y) for x, m in enumerate(succ) for y in range(m.bit_length()) if m >> y & 1]
 
 
 def _merge_target(parts, keys, succ, pred, a, b, basis):
-    """(row, parity) for fusing parts a, b (0-based masks in `parts`) joined
-    by an arc of the part-level orientation `succ` / `pred` that has no
-    detour: row is the position in `basis` = S_{k-1} of the representative
-    of the fused orientation, and parity is the sign of the permutation
-    carrying the parts of that flag to (A_a | A_b, the rest in order).
-    keys[x] is the peel key of parts[x], (|A| << n) - lowest bit of A.
-
-    The fused part keeps index lo = min(a, b); on a mask of parts, part hi
-    moves to lo and the parts above hi move down one."""
+    """(row, parity) for fusing parts a, b (0-based) joined by an arc of the
+    part-level orientation `succ` / `pred` that has no detour: row is the
+    position in `basis` = S_{k-1} of the representative of the fused
+    orientation, and parity is the sign of the permutation carrying the
+    parts of that flag to (A_a | A_b, the rest in order).  keys[x] is
+    (|A| << n) - lowest bit of A, for A = parts[x].  The fused part keeps
+    index lo = min(a, b): on a mask of parts, bit hi moves to lo and the
+    bits above hi move down one."""
     lo, hi = min(a, b), max(a, b)
     below, fused = (1 << hi) - 1, 1 << lo
     qsucc = [m & below | m >> hi + 1 << hi | (m >> hi & 1) << lo for m in succ]
@@ -549,12 +535,10 @@ def _realign(succ, pred):
             continue
         bit, heads = 1 << x, succ[x]
         succ[x], pred[x] = 0, heads
-        while heads:
-            low = heads & -heads
-            y = low.bit_length() - 1
-            succ[y] |= bit
-            pred[y] &= ~bit
-            heads ^= low
+        for y in range(len(succ)):
+            if heads >> y & 1:
+                succ[y] |= bit
+                pred[y] &= ~bit
         x = 1
     if pred[0]:
         raise MergeError(f"cyclic orientation {_arcs(succ)}: node 0 has an incoming arc")
@@ -579,30 +563,10 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
 
     The parts are vertex masks, read off uc's chain once, and every set of
     parts is an int mask over the part indices."""
-    k = uc.k
-    chain = _chain_masks(g, uc)
-    parts = [chain[0], *(c ^ p for p, c in zip(chain, chain[1:]))]
-    basis = enumerate_minimal_flags(g, k - 1)
-    nbr = neighbor_masks(g)
+    parts, up, down, anc, adjacent = _part_graph(g, uc)
+    basis = enumerate_minimal_flags(g, uc.k - 1)
     keys = [(p.bit_count() << g.n) - (p & -p) for p in parts]
-    up = [0] * k        # G(U): the parts adjacent to part a above it
-    down = [0] * k      # G(U): the parts adjacent to part b below it
-    anc = [0] * k       # the parts with a path to part b in G(U)
-    adjacent = []       # G(U): (a, b) with a < b
-    for b, p in enumerate(parts):
-        around = 0      # the vertices adjacent to part b
-        while p:
-            low = p & -p
-            around |= nbr[low.bit_length() - 1]
-            p ^= low
-        for a in range(b):      # anc[a] is complete here
-            if around & parts[a]:
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-                anc[b] |= anc[a] | 1 << a
-                adjacent.append((a, b))
-    adjacent.sort()
-    climb = [0] * k     # the parts adjacent to a part that a reaches in G(U)
+    climb = [0] * uc.k     # the parts adjacent to a part that a reaches in G(U)
     for a, b in reversed(adjacent):     # climb[b] is complete here
         climb[a] |= climb[b] | up[b] | down[b]
     records = []
@@ -636,8 +600,8 @@ def record_sign(rec: MergeRecord) -> int:
 
 def record_theta(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord):
     """D(A_j, A_i): for v in A_j, its edge count into A_i."""
-    chain = _chain_masks(g, uc)
-    ai, aj = _part(chain, rec.i - 1), _part(chain, rec.j - 1)
+    chain = (0, *_chain_masks(g, uc))      # A_x = chain[x] ^ chain[x - 1]
+    ai, aj = chain[rec.i] ^ chain[rec.i - 1], chain[rec.j] ^ chain[rec.j - 1]
     nbrs = neighbor_lists(g)
     d = [0] * g.n
     while aj:
@@ -646,11 +610,6 @@ def record_theta(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord):
         d[v] = sum(m for w, m in nbrs[v] if ai >> w & 1)
         aj ^= low
     return tuple(d)
-
-
-def _part(chain, x):
-    """The mask of part A_{x+1} of a chain of vertex masks."""
-    return chain[x] ^ chain[x - 1] if x else chain[0]
 
 
 def _records_for(g, uc, wc):

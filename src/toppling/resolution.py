@@ -274,8 +274,7 @@ def betti_table(g: PointedGraph) -> BettiTable:
                     for w, m in nbrs[v]:
                         if w in u1:
                             d[v] += m
-                _reduce_effective(g, g.q, d)
-                reps[uc.chain] = tuple(d)
+                reps[uc.chain] = _reduce_effective(g, g.q, d)
         for rep, c in Counter(reps.values()).items():
             pic[(k - 1, PicClass(rep))] = c
         lower = reps
@@ -338,19 +337,14 @@ def _check_degrees(resolutions):
     stage of q-reduction runs."""
     first = resolutions[0]
     g = first.g
-
-    def reduced(d):
-        d = list(d)
-        _reduce_effective(g, g.q, d)
-        return tuple(d)
     # reps[t][r] = class of basis element r of F_{t-1}; F_{-1} = R has class 0
-    reps = [[zero_divisor(g.n)]] + [[reduced(flag_divisor(g, uc)) for uc in basis]
-                                    for basis in first.bases]
+    reps = [[zero_divisor(g.n)]] + [[_reduce_effective(g, g.q, list(flag_divisor(g, uc)))
+                                     for uc in basis] for basis in first.bases]
     for t, cols in enumerate(first.diffs):
         for c in range(len(cols)):
             for r, e in dict.fromkeys(itertools.chain.from_iterable(
                     res.diffs[t][c] for res in resolutions)):
-                if reduced(divisor_add(e, reps[t][r])) != reps[t + 1][c]:
+                if _reduce_effective(g, g.q, list(divisor_add(e, reps[t][r]))) != reps[t + 1][c]:
                     raise IdentityViolation(f"Pic-degree clash in phi_{t} at ({r},{c})")
 
 

@@ -31,6 +31,7 @@ from toppling.flags import (
     BadK,
     BadPartIndex,
     ConnectedFlag,
+    FlagError,
     LengthMismatch,
     MergeError,
     MissingQ,
@@ -60,9 +61,6 @@ from toppling.flags import (
     reversal_orientation,
     theta,
     validate_flag,
-    _chain_arcs,
-    _expand_arcs,
-    _oj_arcs,
 )
 
 
@@ -502,6 +500,38 @@ def peeled_least_flag(parts, arcs):
     return ConnectedFlag(tuple(reversed(chain)))
 
 
+def part_index(g, parts):
+    """The part of each vertex, for parts given as sets."""
+    return [next(x for x, part in enumerate(parts) if v in part) for v in range(g.n)]
+
+
+def chain_arcs(g, parts):
+    """G(U) over its parts: every adjacent part pair, oriented from the
+    lower part."""
+    pidx = part_index(g, parts)
+    return {(min(pidx[u], pidx[v]), max(pidx[u], pidx[v]))
+            for u, v in g.adjacent_pairs() if pidx[u] != pidx[v]}
+
+
+def oj_arcs(g, parts, j):
+    """o_j(U) over its parts: flip, in turn, all arcs between A_1..A_j and
+    their complements, so an arc ends up flipped iff exactly one of its
+    ends is below j."""
+    return {(b, a) if (a < j) != (b < j) else (a, b) for a, b in chain_arcs(g, parts)}
+
+
+def expand_arcs(g, parts, arcs):
+    """Vertex arcs from the part-level `arcs`; pairs inside one part stay
+    unoriented."""
+    pidx = part_index(g, parts)
+    out = set()
+    for u, v in g.adjacent_pairs():
+        if pidx[u] != pidx[v]:
+            out.add((u, v) if (pidx[u], pidx[v]) in arcs else (v, u))
+            assert (pidx[u], pidx[v]) in arcs or (pidx[v], pidx[u]) in arcs
+    return frozenset(out)
+
+
 def fuse(parts, a, b):
     """The part list with parts a and b fused (kept at position min(a, b)),
     and the old -> new index map as a list."""
@@ -599,9 +629,9 @@ class TestDropRuleGenerator:
                 a, b = rec.i - 1, rec.j - 1
                 parts = uc.parts()
                 new_parts, old_to_new = fuse(parts, a, b)
-                arcs = _oj_arcs(g, parts, rec.j if rec.from_reversal else 0)
+                arcs = oj_arcs(g, parts, rec.j if rec.from_reversal else 0)
                 qarcs = realigned_arcs(quotient_arcs(arcs, old_to_new, frozenset((a, b))))
-                assert rec.flag == minima[uc.k - 1][_expand_arcs(g, new_parts, qarcs)]
+                assert rec.flag == minima[uc.k - 1][expand_arcs(g, new_parts, qarcs)]
                 checked[rec.from_reversal] += 1
         assert min(checked.values()) > 1000
 
@@ -615,13 +645,13 @@ class TestMergeSearch:
             for k in range(3, g.n + 1):
                 for uc in enumerate_minimal_flags(g, k):
                     parts = uc.parts()
-                    adjacent = sorted(_chain_arcs(g, parts))
+                    adjacent = sorted(chain_arcs(g, parts))
                     attempts = [(a, b, 0) for a, b in adjacent]
                     attempts += [(a, b, b + 1) for b, a in adjacent]
                     kept = set()
                     for a, b, j in attempts:
                         _, old_to_new = fuse(parts, a, b)
-                        qarcs = quotient_arcs(_oj_arcs(g, parts, j), old_to_new,
+                        qarcs = quotient_arcs(oj_arcs(g, parts, j), old_to_new,
                                               frozenset((a, b)))
                         if digraph_is_acyclic(k - 1, qarcs):
                             kept.add((a + 1, b + 1, j > 0))
@@ -665,7 +695,7 @@ class TestRealign:
                 a, b = rec.i - 1, rec.j - 1
                 parts = uc.parts()
                 new_parts, old_to_new = fuse(parts, a, b)
-                qarcs = quotient_arcs(_oj_arcs(g, parts, b + 1), old_to_new,
+                qarcs = quotient_arcs(oj_arcs(g, parts, b + 1), old_to_new,
                                       frozenset((a, b)))
                 qnode = old_to_new[0]
                 assert mask_realigned(qarcs, len(new_parts)) == realigned_arcs(qarcs) == \
@@ -695,3 +725,66 @@ class TestSign:
                 for order in (sorted(rest, key=subset_key), rest[::-1]):
                     assert sign == (perm_parity(parts, [ai, aj] + order)
                                     * perm_parity(rec.flag.parts(), [ai | aj] + order))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the FlagError it raises."""
+    try:
+        return fn(*args)
+    except FlagError as exc:
+        return type(exc), str(exc)
+
+
+class TestMaskPath:
+    def test_orientations_match_set_reference(self, graph_corpus):
+        # G(U) and every o_j(U) of every S_k flag, against the same
+        # orientations built from sets of part-level arcs
+        for g in corpus_and_families(graph_corpus):
+            for k in range(2, g.n + 1):
+                for uc in enumerate_minimal_flags(g, k):
+                    parts = uc.parts()
+                    assert flag_orientation(g, uc) == expand_arcs(g, parts, chain_arcs(g, parts))
+                    for j in range(k + 1):
+                        assert reversal_orientation(g, uc, j) == \
+                            expand_arcs(g, parts, oj_arcs(g, parts, j))
+
+    def test_rows_index_their_flags(self, graph_corpus):
+        # every S_k flag of the corpus at every base vertex, K6 and the 2x3
+        # grid: a record's row is its own target's position in S_{k-1}
+        checked = 0
+        graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+        for g in [*graphs, complete(6), grid_2x3()]:
+            for uc, rec in records_of(g):
+                lower = enumerate_minimal_flags(g, uc.k - 1)
+                assert lower.flags[rec.row] == rec.flag
+                assert lower.flags.index(rec.flag) == rec.row
+                assert lower.row(flags._chain_masks(g, rec.flag)) == rec.row
+                checked += 1
+        assert checked > 10000
+
+    def test_hand_built_flag_matches_enumerated(self, graph_corpus):
+        # a flag whose sets the graph object never interned (validate_flag
+        # on a fresh copy of the graph) gives the enumerated flag's results:
+        # every flag of C4, C5 and K5, and the first and last of each S_k of
+        # the corpus at base vertex 1
+        cases = [(g, lambda basis: basis) for g in (c4(), cycle(5), complete(5))]
+        cases += [(build_graph(n, edges, 0), lambda basis: basis[:1] + basis[-1:])
+                  for n, edges in graph_corpus]
+        checked = 0
+        for g, pick in cases:
+            for k in range(3, g.n + 1):
+                for uc in pick(enumerate_minimal_flags(g, k).flags):
+                    records = merge_records(g, uc)
+
+                    def hand():
+                        h = replace(g)
+                        return h, validate_flag(h, [set(s) for s in uc.chain])
+                    h, hc = hand()
+                    assert h._cache.get("sets", ({}, {}))[1] == {}
+                    assert merge_records(h, hc) == records
+                    for wc in dict.fromkeys(r.flag for r in records):
+                        assert outcome(incidence_sign, *hand(), wc) == \
+                            outcome(incidence_sign, g, uc, wc)
+                        assert outcome(theta, *hand(), wc) == outcome(theta, g, uc, wc)
+                    checked += 1
+        assert checked > 100

@@ -8,7 +8,7 @@ from conftest import c4, complete, corpus, cycle, grid_2x3, path, per_flag_pic_t
 from toppling import resolution
 from toppling.cli import main
 from toppling.fields import get_field
-from toppling.flags import flag_divisor
+from toppling.flags import enumerate_minimal_flags, flag_divisor
 from toppling.graphs import bfs_term_order, build_graph
 from toppling.poly import add_into, monomial_divides
 from toppling.resolution import (
@@ -51,7 +51,6 @@ class TestGroebner:
             [((0, 3), (3, 0))]
 
     def test_count_is_s2(self):
-        from toppling.flags import enumerate_minimal_flags
         for g in (c4(), complete(4), cycle(5)):
             assert len(groebner_basis(g)) == \
                 len(enumerate_minimal_flags(g, 2))
@@ -267,6 +266,14 @@ class TestBetti:
         bt = betti_table(c4())
         top = sorted((j.rep, c) for (i, j), c in bt.pic_graded.items() if i == 3)
         assert top == [((3, 0, 1, 0), 1), ((3, 1, 0, 0), 1), ((4, 0, 0, 0), 1)]
+
+    def test_leaves_basis_indexes_unbuilt(self, graph_corpus):
+        # the table counts flags and never looks one up by its chain
+        graphs = [build_graph(n, edges, 0) for n, edges in graph_corpus]
+        for g in [*graphs, complete(5), grid_2x3()]:
+            betti_table(g)
+            assert [enumerate_minimal_flags(g, k)._rows for k in range(1, g.n + 1)] == \
+                [None] * g.n
 
     def test_pic_matches_per_flag_reduction(self, graph_corpus):
         # every corpus graph at every base vertex, C6, K5, K6 and the 2x3
