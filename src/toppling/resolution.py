@@ -336,15 +336,15 @@ def _check_degrees(resolutions):
     e + r off q for an exponent e and a q-reduced r, so only the firing
     stage of q-reduction runs."""
     first = resolutions[0]
-    g = first.g
+    g, q = first.g, first.g.q
     # reps[t][r] = class of basis element r of F_{t-1}; F_{-1} = R has class 0
-    reps = [[zero_divisor(g.n)]] + [[_reduce_effective(g, g.q, list(flag_divisor(g, uc)))
+    reps = [[zero_divisor(g.n)]] + [[_reduce_effective(g, q, list(flag_divisor(g, uc)))
                                      for uc in basis] for basis in first.bases]
     for t, cols in enumerate(first.diffs):
         for c in range(len(cols)):
             for r, e in dict.fromkeys(itertools.chain.from_iterable(
                     res.diffs[t][c] for res in resolutions)):
-                if _reduce_effective(g, g.q, list(divisor_add(e, reps[t][r]))) != reps[t + 1][c]:
+                if _reduce_effective(g, q, list(divisor_add(e, reps[t][r]))) != reps[t + 1][c]:
                     raise IdentityViolation(f"Pic-degree clash in phi_{t} at ({r},{c})")
 
 
