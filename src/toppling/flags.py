@@ -16,7 +16,6 @@ from .graphs import (
     divisor_max,
     induced_connected,
     mask_connected,
-    neighbor_lists,
     neighbor_masks,
 )
 
@@ -288,6 +287,8 @@ class FlagBasis:
     """Minimal representatives of k-flag classes of g, sorted by <_k, with
     `row` finding a flag by the vertex masks of its chain."""
 
+    __slots__ = ("flags", "_masks", "_n", "_rows", "__weakref__")
+
     def __init__(self, g: PointedGraph, flags):
         self.flags = tuple(flags)
         self._masks = _interned(g)[1]
@@ -305,8 +306,7 @@ class FlagBasis:
         """The position of the flag whose chain has the vertex masks `chain`
         (a tuple of ints), or None if no flag here has them."""
         if self._rows is None:
-            masks = self._masks
-            self._rows = {self._packed(map(masks.__getitem__, f.chain)): i
+            self._rows = {self._packed(map(self._masks.__getitem__, f.chain)): i
                           for i, f in enumerate(self.flags)}
         return self._rows.get(self._packed(chain))
 
@@ -559,10 +559,7 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
     - o_j(U) runs up within 0..j-1 and within j..k-1, and down from j..k-1
       to 0..j-1, so a path from a climbs the upper parts, steps down once
       and climbs to b; another path exists iff a steps down into an ancestor
-      of b, or a part that a climbs to is adjacent to b or to one of them.
-
-    The parts are vertex masks, read off uc's chain once, and every set of
-    parts is an int mask over the part indices."""
+      of b, or a part that a climbs to is adjacent to b or to one of them."""
     parts, up, down, anc, adjacent = _part_graph(g, uc)
     basis = enumerate_minimal_flags(g, uc.k - 1)
     keys = [(p.bit_count() << g.n) - (p & -p) for p in parts]
@@ -602,13 +599,15 @@ def record_theta(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord):
     """D(A_j, A_i): for v in A_j, its edge count into A_i."""
     chain = (0, *_chain_masks(g, uc))      # A_x = chain[x] ^ chain[x - 1]
     ai, aj = chain[rec.i] ^ chain[rec.i - 1], chain[rec.j] ^ chain[rec.j - 1]
-    nbrs = neighbor_lists(g)
+    nbr = neighbor_masks(g)
     d = [0] * g.n
     while aj:
-        low = aj & -aj
-        v = low.bit_length() - 1
-        d[v] = sum(m for w, m in nbrs[v] if ai >> w & 1)
-        aj ^= low
+        v = (aj & -aj).bit_length() - 1
+        both = nbr[v] & ai      # the neighbours of v in A_i
+        while both:
+            d[v] += g.mult[v][(both & -both).bit_length() - 1]
+            both &= both - 1
+        aj &= aj - 1
     return tuple(d)
 
 
