@@ -122,69 +122,35 @@ def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
 # ---------------------------------------------------------------------------
 # orientations
 
-def _part_index(g: PointedGraph, parts):
-    """The part of each vertex, for parts given as vertex masks."""
-    return [x for v in range(g.n) for x, p in enumerate(parts) if p >> v & 1]
+def _levels(g: PointedGraph, uc: ConnectedFlag):
+    """The part of each vertex: the least i with v in U_{i+1}."""
+    level = [0] * g.n
+    for i in range(uc.k - 1, -1, -1):
+        for v in uc.chain[i]:
+            level[v] = i
+    return level
 
 
-def _part_graph(g: PointedGraph, uc: ConnectedFlag):
-    """G(U) over the parts of uc, read off the graph's neighbour masks:
-    (parts, up, down, anc, arcs) with parts the vertex masks of A_1..A_k,
-    up[a] the mask of the parts adjacent to part a above it, down[b] that
-    of the parts adjacent to part b below it, anc[b] that of the parts with
-    a path to part b, and arcs the pairs (a, b), a < b, of adjacent parts,
-    sorted."""
-    chain = _chain_masks(g, uc)
-    parts = [chain[0], *(c ^ p for p, c in zip(chain, chain[1:]))]
-    nbr = neighbor_masks(g)
-    up, down, anc, arcs = [0] * uc.k, [0] * uc.k, [0] * uc.k, []
-    for b, p in enumerate(parts):
-        around = 0      # the vertices adjacent to part b
-        while p:
-            low = p & -p
-            around |= nbr[low.bit_length() - 1]
-            p ^= low
-        for a in range(b):      # anc[a] is complete here
-            if around & parts[a]:
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-                anc[b] |= anc[a] | 1 << a
-                arcs.append((a, b))
-    arcs.sort()
-    return parts, up, down, anc, arcs
-
-
-def _oriented(up, down, j):
-    """(successor, predecessor) masks over the parts of o_j(U), from those
-    of G(U), `up` and `down`: o_j flips an arc iff exactly one of its ends
-    is below j."""
-    low = (1 << j) - 1
-    return ([u & low if x < j else u | d & low for x, (u, d) in enumerate(zip(up, down))],
-            [d | u & ~low if x < j else d & ~low for x, (u, d) in enumerate(zip(up, down))])
-
-
-def _vertex_arcs(g: PointedGraph, parts, succ):
-    """The (tail, head) vertex arcs of the orientation of the parts with
-    successor masks `succ`; pairs inside one part stay unoriented."""
-    pidx = _part_index(g, parts)
-    return frozenset((u, v) if succ[pidx[u]] >> pidx[v] & 1 else (v, u)
-                     for u, v in g.adjacent_pairs() if pidx[u] != pidx[v])
+def _vertex_arcs(g: PointedGraph, uc: ConnectedFlag, j):
+    """o_j(U) as (tail, head) vertex arcs; o_0(U) = G(U), which runs every
+    edge between two parts up the part order.  o_j flips the edges with
+    exactly one end below part j, as if the parts below j came after all the
+    others.  Pairs inside a part stay unoriented."""
+    key = [x + uc.k * (x < j) for x in _levels(g, uc)]
+    return frozenset((u, v) if key[u] < key[v] else (v, u)
+                     for u, v in g.adjacent_pairs() if key[u] != key[v])
 
 
 def flag_orientation(g: PointedGraph, uc: ConnectedFlag):
     """G(U) as a frozenset of (tail, head) vertex arcs: every edge between
     parts runs from the lower part; edges inside a part have no arc."""
-    parts, up, *_ = _part_graph(g, uc)
-    return _vertex_arcs(g, parts, up)
+    return _vertex_arcs(g, uc, 0)
 
 
 def flag_divisor(g: PointedGraph, uc: ConnectedFlag):
     """D(U), the indegree divisor of G(U): every edge between two parts adds
     its multiplicity at its end in the higher part."""
-    level = [0] * g.n       # the part of each vertex: the least i with v in U_i
-    for i in range(uc.k - 1, -1, -1):
-        for v in uc.chain[i]:
-            level[v] = i
+    level = _levels(g, uc)
     d = [0] * g.n
     for u, v in g.adjacent_pairs():
         a, b = level[u], level[v]
@@ -204,8 +170,7 @@ def reversal_orientation(g: PointedGraph, uc: ConnectedFlag, j):
     flag_orientation."""
     if not 0 <= j <= uc.k:
         raise BadPartIndex(f"reversal index j={j} outside 0..{uc.k}")
-    parts, up, down, *_ = _part_graph(g, uc)
-    return _vertex_arcs(g, parts, _oriented(up, down, j)[0])
+    return _vertex_arcs(g, uc, j)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +357,8 @@ def kappa(g: PointedGraph, w: ConnectedFlag, v: ConnectedFlag):
 
 def contract(g: PointedGraph, uc: ConnectedFlag):
     """(G_/U, vertex_map): part A_i becomes vertex i-1; q' = 0."""
-    parts = _part_graph(g, uc)[0]
-    k = len(parts)
-    pidx = _part_index(g, parts)
+    k = uc.k
+    pidx = _levels(g, uc)
     mult = [[0] * k for _ in range(k)]
     for u, v in g.adjacent_pairs():
         a, b = pidx[u], pidx[v]
@@ -444,6 +408,42 @@ class MergeRecord:
     row: int
     from_reversal: bool
     parity: int
+
+
+def _part_graph(g: PointedGraph, uc: ConnectedFlag):
+    """G(U) over the parts of uc, read off the graph's neighbour masks:
+    (parts, up, down, anc, arcs) with parts the vertex masks of A_1..A_k,
+    up[a] the mask of the parts adjacent to part a above it, down[b] that
+    of the parts adjacent to part b below it, anc[b] that of the parts with
+    a path to part b, and arcs the pairs (a, b), a < b, of adjacent parts,
+    sorted."""
+    chain = _chain_masks(g, uc)
+    parts = [chain[0], *(c ^ p for p, c in zip(chain, chain[1:]))]
+    nbr = neighbor_masks(g)
+    up, down, anc, arcs = [0] * uc.k, [0] * uc.k, [0] * uc.k, []
+    for b, p in enumerate(parts):
+        around = 0      # the vertices adjacent to part b
+        while p:
+            low = p & -p
+            around |= nbr[low.bit_length() - 1]
+            p ^= low
+        for a in range(b):      # anc[a] is complete here
+            if around & parts[a]:
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+                anc[b] |= anc[a] | 1 << a
+                arcs.append((a, b))
+    arcs.sort()
+    return parts, up, down, anc, arcs
+
+
+def _oriented(up, down, j):
+    """(successor, predecessor) masks over the parts of o_j(U), from those
+    of G(U), `up` and `down`: o_j flips an arc iff exactly one of its ends
+    is below j."""
+    low = (1 << j) - 1
+    return ([u & low if x < j else u | d & low for x, (u, d) in enumerate(zip(up, down))],
+            [d | u & ~low if x < j else d & ~low for x, (u, d) in enumerate(zip(up, down))])
 
 
 def _arcs(succ):
