@@ -499,7 +499,8 @@ def _peel(parts, succ, rank):
     prefix C - P (larger sets first, then lex).  That is the smallest sink
     and, among sinks of one size, the one whose least vertex is largest (the
     parts are disjoint, so the other prefix keeps that vertex): the first
-    sink in `rank`, the part indices sorted by (size, -least vertex)."""
+    sink in `rank`, the part indices sorted by (size, -least vertex), which
+    the peel consumes."""
     left = (1 << len(parts)) - 1
     order = []
     for _ in range(len(parts) - 1):
