@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from .graphs import (
     BadVertex,
     PointedGraph,
-    boundary_divisor,
+    _boundary,
     divisor_max,
-    induced_connected,
     mask_connected,
     neighbor_masks,
 )
@@ -74,25 +73,40 @@ class NotAFlag(FlagError):
 
 @dataclass(frozen=True, slots=True)
 class ConnectedFlag:
-    chain: tuple  # tuple of frozensets, strictly increasing, last = V(G)
+    """U_1 < ... < U_k = V(G), held as vertex masks (bit v set iff v is in
+    the set).  `chain`, `parts()` and `literal()` are views of them as
+    frozensets and as text."""
+
+    masks: tuple  # tuple of ints, strictly increasing, last = V(G)
+
+    @classmethod
+    def from_sets(cls, chain):
+        """The flag whose chain is the vertex sets `chain`, unchecked."""
+        return cls(tuple(sum(1 << v for v in frozenset(s)) for s in chain))
 
     @property
     def k(self) -> int:
-        return len(self.chain)
+        return len(self.masks)
+
+    @property
+    def chain(self):
+        """U_1..U_k as a tuple of frozensets."""
+        return tuple(map(_vertices, self.masks))
 
     def parts(self):
-        """A_1..A_k as a tuple (0-based positions)."""
-        out = [self.chain[0]]
-        for i in range(1, len(self.chain)):
-            out.append(self.chain[i] - self.chain[i - 1])
-        return tuple(out)
+        """A_1..A_k as a tuple of frozensets (0-based positions)."""
+        return tuple(_vertices(m ^ p) for p, m in zip((0,) + self.masks, self.masks))
 
     def literal(self):
-        return " < ".join(_literal(s) for s in self.chain)
+        return " < ".join(map(_literal, self.masks))
 
 
-def _literal(s):
-    return "{" + ",".join(str(v + 1) for v in sorted(s)) + "}"
+def _vertices(m):
+    return frozenset(v for v in range(m.bit_length()) if m >> v & 1)
+
+
+def _literal(m):
+    return "{" + ",".join(str(v + 1) for v in sorted(_vertices(m))) + "}"
 
 
 def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
@@ -100,34 +114,38 @@ def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
     outside = sorted(v for s in chain for v in s if not 0 <= v < g.n)
     if outside:
         raise BadVertex(f"vertex {outside[0] + 1} is not in the graph (vertices 1..{g.n})")
-    if not chain or g.q not in chain[0]:
+    uc = ConnectedFlag.from_sets(chain)
+    masks = uc.masks
+    if not masks or not masks[0] >> g.q & 1:
         raise MissingQ(f"q={g.q + 1} not in the first set")
-    for i in range(1, len(chain)):
-        if not chain[i - 1] < chain[i]:
+    for i in range(1, len(masks)):
+        if masks[i - 1] & ~masks[i] or masks[i - 1] == masks[i]:
             raise NotIncreasing(f"chain not strictly increasing at index {i}")
-    if chain[-1] != frozenset(range(g.n)):
+    if masks[-1] != (1 << g.n) - 1:
         raise LastNotV("last set is not V(G)")
-    for i, s in enumerate(chain):
-        if not induced_connected(g, s):
+    for i, m in enumerate(masks):
+        if not mask_connected(g, m):
             raise PrefixDisconnected(
-                f"U_{i + 1} = {_literal(s)} does not induce a connected subgraph")
-    for i in range(1, len(chain)):
-        if not induced_connected(g, chain[i] - chain[i - 1]):
+                f"U_{i + 1} = {_literal(m)} does not induce a connected subgraph")
+    for i in range(1, len(masks)):
+        if not mask_connected(g, masks[i] ^ masks[i - 1]):
             raise PartDisconnected(
-                f"A_{i + 1} = {_literal(chain[i] - chain[i - 1])} does not induce"
+                f"A_{i + 1} = {_literal(masks[i] ^ masks[i - 1])} does not induce"
                 " a connected subgraph")
-    return ConnectedFlag(chain)
+    return uc
 
 
 # ---------------------------------------------------------------------------
 # orientations
 
 def _levels(g: PointedGraph, uc: ConnectedFlag):
-    """The part of each vertex: the least i with v in U_{i+1}."""
+    """The part of each vertex: the i with v in A_{i+1}."""
     level = [0] * g.n
-    for i in range(uc.k - 1, -1, -1):
-        for v in uc.chain[i]:
-            level[v] = i
+    for i, (p, m) in enumerate(zip((0,) + uc.masks, uc.masks)):
+        part = m ^ p
+        while part:
+            level[(part & -part).bit_length() - 1] = i
+            part &= part - 1
     return level
 
 
@@ -186,35 +204,6 @@ def mask_rank(n, m):
     return (n - m.bit_count()) << n | ((1 << n) - 1 - int(f"{m:0{n}b}"[::-1], 2))
 
 
-def _interned(g: PointedGraph):
-    """(mask -> frozenset, frozenset -> mask), cached on g, so each frozenset
-    of a flag chain is built once per mask."""
-    if "sets" not in g._cache:
-        g._cache["sets"] = ({}, {})
-    return g._cache["sets"]
-
-
-def _frozen(g: PointedGraph, m):
-    sets, masks = _interned(g)
-    s = sets.get(m)
-    if s is None:
-        s = sets[m] = frozenset(v for v in range(g.n) if m >> v & 1)
-        masks[s] = m
-    return s
-
-
-def _chain_masks(g: PointedGraph, uc: ConnectedFlag):
-    """The vertex masks of uc's chain.  A set the graph has not interned (of
-    a hand-built flag) is converted once."""
-    masks = _interned(g)[1]
-    try:
-        return tuple(map(masks.__getitem__, uc.chain))
-    except KeyError:
-        for s in uc.chain:
-            masks.setdefault(s, sum(1 << v for v in s))
-        return tuple(map(masks.__getitem__, uc.chain))
-
-
 def _split_masks(g: PointedGraph, w):
     """Every split of the mask w (holding q): a connected u with q in u < w
     and w - u connected, in rank order, memoised per w on g.  u is q plus a
@@ -240,11 +229,9 @@ def enumerate_all_connected_flags(g: PointedGraph, k):
     from (V,) by the splits of each first set."""
     if k < 1:
         raise BadK(f"flag length k={k} must be at least 1")
-    masks = _interned(g)[1]
-    out = [ConnectedFlag((_frozen(g, (1 << g.n) - 1),))]
+    out = [ConnectedFlag(((1 << g.n) - 1,))]
     for _ in range(k - 1):
-        out = [ConnectedFlag((_frozen(g, u),) + w.chain)
-               for w in out for u in _split_masks(g, masks[w.chain[0]])]
+        out = [ConnectedFlag((u,) + w.masks) for w in out for u in _split_masks(g, w.masks[0])]
     return out
 
 
@@ -252,11 +239,10 @@ class FlagBasis:
     """Minimal representatives of k-flag classes of g, sorted by <_k, with
     `row` finding a flag by the vertex masks of its chain."""
 
-    __slots__ = ("flags", "_masks", "_n", "_rows", "__weakref__")
+    __slots__ = ("flags", "_n", "_rows", "__weakref__")
 
     def __init__(self, g: PointedGraph, flags):
         self.flags = tuple(flags)
-        self._masks = _interned(g)[1]
         self._n = g.n
         self._rows = None       # packed chain -> position, built on the first lookup
 
@@ -271,8 +257,7 @@ class FlagBasis:
         """The position of the flag whose chain has the vertex masks `chain`
         (a tuple of ints), or None if no flag here has them."""
         if self._rows is None:
-            self._rows = {self._packed(map(self._masks.__getitem__, f.chain)): i
-                          for i, f in enumerate(self.flags)}
+            self._rows = {self._packed(f.masks): i for i, f in enumerate(self.flags)}
         return self._rows.get(self._packed(chain))
 
     def __len__(self):
@@ -307,21 +292,20 @@ def _drop_rule_flags(g: PointedGraph, lower: FlagBasis):
     The flags of S_{k-1} with one tail W_2, ... are consecutive, so x is
     looked up among the first sets of W's run.  <_k compares U_1 last, and
     the splits come in rank order, so the result needs no sort."""
-    masks = _interned(g)[1]
     rank = functools.cache(functools.partial(mask_rank, g.n))
     out = []
-    for tail, run in itertools.groupby(lower, key=lambda w: w.chain[1:]):
+    for tail, run in itertools.groupby(lower, key=lambda w: w.masks[1:]):
         run = list(run)
-        heads = {masks[w.chain[0]] for w in run}
-        w2 = masks[tail[0]]
+        heads = {w.masks[0] for w in run}
+        w2 = tail[0]
         for w in run:
-            w1 = masks[w.chain[0]]
+            w1 = w.masks[0]
             r1 = rank(w1)
             above = w2 & ~w1
             for u in _split_masks(g, w1):
                 x = u if mask_connected(g, w2 & ~u) else u | above
                 if x in heads and rank(x) > r1:
-                    out.append(ConnectedFlag((_frozen(g, u),) + w.chain))
+                    out.append(ConnectedFlag((u,) + w.masks))
     return out
 
 
@@ -331,25 +315,24 @@ def _drop_rule_flags(g: PointedGraph, lower: FlagBasis):
 def drop_first(uc: ConnectedFlag) -> ConnectedFlag:
     if uc.k < 2:
         raise TooShort("drop_first needs k >= 2")
-    return ConnectedFlag(uc.chain[1:])
+    return ConnectedFlag(uc.masks[1:])
 
 
 def drop_second(g: PointedGraph, uc: ConnectedFlag) -> ConnectedFlag:
     if uc.k < 3:
         raise TooShort("drop_second needs k >= 3")
-    u1, u2, u3 = uc.chain[0], uc.chain[1], uc.chain[2]
-    if induced_connected(g, u3 - u1):
-        return ConnectedFlag((u1,) + uc.chain[2:])
-    return ConnectedFlag((u1 | (u3 - u2),) + uc.chain[2:])
+    u1, u2, u3 = uc.masks[:3]
+    if mask_connected(g, u3 ^ u1):
+        return ConnectedFlag((u1,) + uc.masks[2:])
+    return ConnectedFlag((u1 | u3 ^ u2,) + uc.masks[2:])
 
 
 def kappa(g: PointedGraph, w: ConnectedFlag, v: ConnectedFlag):
-    if w.k != v.k or w.chain[1:] != v.chain[1:]:
+    if w.k != v.k or w.masks[1:] != v.masks[1:]:
         raise TailMismatch("flags must agree above the first level")
-    w1, v1 = w.chain[0], v.chain[0]
-    w2 = w.chain[1]
-    return divisor_max(boundary_divisor(g, w2 - w1, w1),
-                       boundary_divisor(g, w2 - v1, v1))
+    w1, v1 = w.masks[0], v.masks[0]
+    w2 = w.masks[1]
+    return divisor_max(_boundary(g, w2 ^ w1, w1), _boundary(g, w2 ^ v1, v1))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +400,7 @@ def _part_graph(g: PointedGraph, uc: ConnectedFlag):
     of the parts adjacent to part b below it, anc[b] that of the parts with
     a path to part b, and arcs the pairs (a, b), a < b, of adjacent parts,
     sorted."""
-    chain = _chain_masks(g, uc)
-    parts = [chain[0], *(c ^ p for p, c in zip(chain, chain[1:]))]
+    parts = [m ^ p for p, m in zip((0,) + uc.masks, uc.masks)]
     nbr = neighbor_masks(g)
     up, down, anc, arcs = [0] * uc.k, [0] * uc.k, [0] * uc.k, []
     for b, p in enumerate(parts):
@@ -598,18 +580,8 @@ def record_sign(rec: MergeRecord) -> int:
 
 def record_theta(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord):
     """D(A_j, A_i): for v in A_j, its edge count into A_i."""
-    chain = (0, *_chain_masks(g, uc))      # A_x = chain[x] ^ chain[x - 1]
-    ai, aj = chain[rec.i] ^ chain[rec.i - 1], chain[rec.j] ^ chain[rec.j - 1]
-    nbr = neighbor_masks(g)
-    d = [0] * g.n
-    while aj:
-        v = (aj & -aj).bit_length() - 1
-        both = nbr[v] & ai      # the neighbours of v in A_i
-        while both:
-            d[v] += g.mult[v][(both & -both).bit_length() - 1]
-            both &= both - 1
-        aj &= aj - 1
-    return tuple(d)
+    chain = (0, *uc.masks)      # A_x = chain[x] ^ chain[x - 1]
+    return _boundary(g, chain[rec.j] ^ chain[rec.j - 1], chain[rec.i] ^ chain[rec.i - 1])
 
 
 def _records_for(g, uc, wc):

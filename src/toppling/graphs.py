@@ -50,8 +50,7 @@ class PointedGraph:
     # ("bfs", start), the adjacent pairs by "pairs", neighbour masks by
     # "neighbors", neighbour lists by "adjacency", the set-firing moves of
     # linear_system by "moves", and per vertex mask its connectivity
-    # ("connected"), its splits ("splits") and its frozenset ("sets", with
-    # the reverse map);
+    # ("connected") and its splits ("splits");
     # init=False: dataclasses.replace(g, q=...) starts empty, as bases and
     # splits depend on q;
     # compare=False: == and hash stay on (n, mult, q)
@@ -149,11 +148,25 @@ def induced_connected(g: PointedGraph, s) -> bool:
 def boundary_divisor(g: PointedGraph, a, b):
     """D(a,b): for v in a, the number of edges from v into b; zero off a."""
     a, b = frozenset(a), frozenset(b)
+    outside = sorted(v for v in a | b if not 0 <= v < g.n)
+    if outside:
+        raise BadVertex(f"vertex {outside[0] + 1} is not in the graph (vertices 1..{g.n})")
     if a & b:
         raise Overlap(f"sets overlap: {sorted(a & b)}")
+    return _boundary(g, sum(1 << v for v in a), sum(1 << v for v in b))
+
+
+def _boundary(g: PointedGraph, a, b):
+    """D(a,b) for disjoint vertex masks a and b, as a tuple."""
+    nbr = neighbor_masks(g)
     d = [0] * g.n
-    for v in a:
-        d[v] = sum(g.mult[v][w] for w in b)
+    while a:
+        v = (a & -a).bit_length() - 1
+        both, row = nbr[v] & b, g.mult[v]     # the neighbours of v in b
+        while both:
+            d[v] += row[(both & -both).bit_length() - 1]
+            both &= both - 1
+        a &= a - 1
     return tuple(d)
 
 

@@ -315,8 +315,7 @@ def brute_force_class_count(g: PointedGraph, k) -> int:
     def descend(top, depth, suffix):
         # top = current largest chain element still to be split
         if depth == 1:
-            chain = (top,) + suffix
-            uc = ConnectedFlag(chain)
+            uc = ConnectedFlag.from_sets((top,) + suffix)
             fingerprints.add(flag_orientation(g, uc))
             return
         for r in range(1, len(top)):

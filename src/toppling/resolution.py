@@ -6,13 +6,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 from .divisors import PicClass, _reduce_effective, hilbert_function
 from .fields import PrimeField
 from .flags import (
-    _chain_masks,
     enumerate_minimal_flags,
-    flag_divisor,
     merge_records,
     record_sign,
     record_theta,
@@ -20,12 +19,10 @@ from .flags import (
 from .graphs import (
     PointedGraph,
     TermOrder,
+    _boundary,
     bfs_term_order,
-    boundary_divisor,
-    divisor_add,
     divisor_sub,
     divisor_max,
-    neighbor_lists,
     zero_divisor,
 )
 from .poly import (
@@ -81,10 +78,9 @@ def groebner_basis(g: PointedGraph):
     order = bfs_term_order(g)
     out = []
     for uc in enumerate_minimal_flags(g, 2):
-        u1 = uc.chain[0]
-        rest = uc.chain[1] - u1
-        lead = boundary_divisor(g, rest, u1)
-        trail = boundary_divisor(g, u1, rest)
+        u1, rest = uc.masks[0], uc.masks[1] ^ uc.masks[0]
+        lead = _boundary(g, rest, u1)
+        trail = _boundary(g, u1, rest)
         if not order.greater(lead, trail):
             raise LeadingTermMismatch(f"{lead} vs {trail}")
         out.append(Binomial(lead, trail))
@@ -212,7 +208,7 @@ def _check_composition(res):
             acc = {}
             for (r, e), a in col.items():
                 for (i, f), b in lower[r].items():
-                    key = (i, divisor_add(e, f))
+                    key = (i, tuple(map(add, e, f)))
                     acc[key] = acc.get(key, 0) + a * b
             rows = [i for (i, _), s in acc.items() if not field.is_zero(s)]
             if rows:
@@ -247,8 +243,8 @@ class BettiTable:
         return sum(c for (ii, _), c in self.pic_graded.items() if ii == i)
 
 
-def betti_table(g: PointedGraph) -> BettiTable:
-    """Graded Betti numbers of R/I_G by counting flags (no matrices).
+def _pic_levels(g: PointedGraph):
+    """For k = 2..n, the q-reduced D(U) of each U in S_k, in basis order.
 
     U in S_k extends W = drop_first(U) in S_{k-1}, and D(U) = D(W) +
     D(U_2 - U_1, U_1), with S_1 = {(V,)} and D((V,)) = 0.  So the class of
@@ -256,28 +252,29 @@ def betti_table(g: PointedGraph) -> BettiTable:
     W found one level down; that sum is effective off q, so only the firing
     stage of q-reduction runs on it.  Only the reduced divisors of one
     level are held at a time."""
-    zero = zero_divisor(g.n)
-    pic = {(0, PicClass(zero)): 1}
-    nbrs = neighbor_lists(g)
-    lower = {(frozenset(range(g.n)),): zero}   # chain -> reduced divisor
+    lower = {((1 << g.n) - 1,): zero_divisor(g.n)}   # masks -> reduced divisor
     for k in range(2, g.n + 1):
         reps = {}
         # the flags of S_k that extend one W come out consecutively, so W
         # is looked up once per run
         for tail, run in itertools.groupby(enumerate_minimal_flags(g, k),
-                                           key=lambda uc: uc.chain[1:]):
+                                           key=lambda uc: uc.masks[1:]):
             parent = lower[tail]
             for uc in run:
-                u1 = uc.chain[0]
-                d = list(parent)
-                for v in tail[0] - u1:      # d += D(U_2 - U_1, U_1)
-                    for w, m in nbrs[v]:
-                        if w in u1:
-                            d[v] += m
-                reps[uc.chain] = _reduce_effective(g, g.q, d)
-        for rep, c in Counter(reps.values()).items():
-            pic[(k - 1, PicClass(rep))] = c
+                u1 = uc.masks[0]
+                d = list(map(add, parent, _boundary(g, tail[0] ^ u1, u1)))
+                reps[uc.masks] = _reduce_effective(g, g.q, d)
+        yield reps.values()
         lower = reps
+
+
+def betti_table(g: PointedGraph) -> BettiTable:
+    """Graded Betti numbers of R/I_G by counting flags (no matrices): each U
+    in S_k adds one at (k - 1, the class of D(U))."""
+    pic = {(0, PicClass(zero_divisor(g.n))): 1}
+    for i, reps in enumerate(_pic_levels(g), 1):
+        for rep, c in Counter(reps).items():
+            pic[(i, PicClass(rep))] = c
     return BettiTable(pic)
 
 
@@ -310,8 +307,8 @@ def _check_lead_terms(res: FreeResolution):
     for t, (basis, cols) in enumerate(zip(res.bases, res.diffs)):
         leads = []
         for c, uc in enumerate(basis):
-            want = (res.bases[t - 1].row(_chain_masks(g, uc)[1:]) if t else 0,
-                    boundary_divisor(g, uc.chain[1] - uc.chain[0], uc.chain[0]))
+            u1, u2 = uc.masks[:2]
+            want = (res.bases[t - 1].row(uc.masks[1:]) if t else 0, _boundary(g, u2 ^ u1, u1))
             if not cols[c]:
                 raise LeadingTermMismatch(f"phi_{t} column {c} is zero")
             r, e = morder.leading_term(cols[c])
@@ -329,22 +326,19 @@ def _check_degrees(resolutions):
     they share their bases, and each distinct term is reduced once over the
     union of their columns.
 
-    The class of each basis element is the reduction of D(U), built and
-    reduced afresh per flag, so this check does not share betti_table's walk
-    from parent to child classes; `verify` checks betti_table's Pic table
-    against the minimalized Schreyer oracle.  D(U) is effective, and so is
-    e + r off q for an exponent e and a q-reduced r, so only the firing
-    stage of q-reduction runs."""
+    The class of each basis element comes from `_pic_levels`, the walk from
+    parent to child classes that betti_table counts.  e + r is effective off
+    q for an exponent e and a q-reduced r, so only the firing stage of
+    q-reduction runs."""
     first = resolutions[0]
     g, q = first.g, first.g.q
     # reps[t][r] = class of basis element r of F_{t-1}; F_{-1} = R has class 0
-    reps = [[zero_divisor(g.n)]] + [[_reduce_effective(g, q, list(flag_divisor(g, uc)))
-                                     for uc in basis] for basis in first.bases]
+    reps = [[zero_divisor(g.n)], *map(list, _pic_levels(g))]
     for t, cols in enumerate(first.diffs):
         for c in range(len(cols)):
             for r, e in dict.fromkeys(itertools.chain.from_iterable(
                     res.diffs[t][c] for res in resolutions)):
-                if _reduce_effective(g, q, list(divisor_add(e, reps[t][r]))) != reps[t + 1][c]:
+                if _reduce_effective(g, q, list(map(add, e, reps[t][r]))) != reps[t + 1][c]:
                     raise IdentityViolation(f"Pic-degree clash in phi_{t} at ({r},{c})")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from toppling.divisors import PicClass, dhar_burn, fire_set, pic_class
 from toppling.flags import LengthMismatch, enumerate_minimal_flags, flag_divisor
-from toppling.graphs import bfs_order, build_graph, total_orientations, zero_divisor
+from toppling.graphs import Overlap, bfs_order, build_graph, total_orientations, zero_divisor
 
 
 def c4():
@@ -32,6 +32,18 @@ def theta(m):
 
 def grid_2x3(q=0):
     return build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], q)
+
+
+def reference_boundary_divisor(g, a, b):
+    """D(a,b) on vertex sets: for v in a, the number of edges from v into b;
+    zero off a."""
+    a, b = frozenset(a), frozenset(b)
+    if a & b:
+        raise Overlap(f"sets overlap: {sorted(a & b)}")
+    d = [0] * g.n
+    for v in a:
+        d[v] = sum(g.mult[v][w] for w in b)
+    return tuple(d)
 
 
 def subset_key(s):

@@ -58,7 +58,7 @@ def fs(*xs):
 
 
 def flag(*sets):
-    return ConnectedFlag(tuple(fs(*s) for s in sets))
+    return ConnectedFlag.from_sets(fs(*s) for s in sets)
 
 
 # ---------------------------------------------------------------------------

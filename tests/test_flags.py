@@ -73,7 +73,7 @@ def fs(*xs):
 
 
 def make(chain):
-    return ConnectedFlag(tuple(chain))
+    return ConnectedFlag.from_sets(chain)
 
 
 # the running 4-flag on the 4-cycle
@@ -108,6 +108,8 @@ class TestValidate:
     def test_not_increasing(self):
         with pytest.raises(NotIncreasing):
             validate_flag(c4(), [fs(1), fs(1), fs(1, 2, 3, 4)])
+        with pytest.raises(NotIncreasing, match="index 1"):
+            validate_flag(c4(), [fs(1, 2), fs(1, 3), fs(1, 2, 3, 4)])
 
     def test_vertex_outside_graph(self):
         # named 1-based, before the chain's order is looked at
@@ -239,7 +241,7 @@ class TestEnumeration:
         # V = {q} has no split, so there is no 2-flag, and the growth must not
         # put V itself below V
         k1 = build_graph(1, [], 0)
-        assert enumerate_minimal_flags(k1, 1).flags == (ConnectedFlag((fs(1),)),)
+        assert enumerate_minimal_flags(k1, 1).flags == (ConnectedFlag.from_sets([fs(1)]),)
         assert len(enumerate_minimal_flags(k1, 2)) == 0
         assert enumerate_all_connected_flags(k1, 2) == []
 
@@ -365,8 +367,8 @@ class TestContract:
         g = g5()
         uc = make([fs(1), fs(1, 2), fs(1, 2, 3, 4), fs(1, 2, 3, 4, 5)])
         _, vmap = contract(g, uc)
-        vc_prime = ConnectedFlag((frozenset({0}), frozenset({0, 1}),
-                                  frozenset(range(4))))
+        vc_prime = ConnectedFlag.from_sets((frozenset({0}), frozenset({0, 1}),
+                                            frozenset(range(4))))
         back = pullback_flag(g, vmap, vc_prime)
         assert back.chain == (fs(1), fs(1, 2), fs(1, 2, 3, 4, 5))
 
@@ -374,8 +376,8 @@ class TestContract:
         g = g5()
         uc = make([fs(1), fs(1, 2), fs(1, 2, 3, 4), fs(1, 2, 3, 4, 5)])
         _, vmap = contract(g, uc)
-        vc_prime = ConnectedFlag((frozenset({0}), frozenset({0, 1, 2}),
-                                  frozenset(range(4))))
+        vc_prime = ConnectedFlag.from_sets((frozenset({0}), frozenset({0, 1, 2}),
+                                            frozenset(range(4))))
         back = pullback_flag(g, vmap, vc_prime)
         assert back.chain == (fs(1), fs(1, 2, 3, 4), fs(1, 2, 3, 4, 5))
 
@@ -385,8 +387,8 @@ class TestContract:
         g = g5()
         uc = make([fs(1), fs(1, 2), fs(1, 2, 3, 4), fs(1, 2, 3, 4, 5)])
         _, vmap = contract(g, uc)
-        vc_prime = ConnectedFlag((frozenset({0}), frozenset({0, 2}),
-                                  frozenset(range(4))))
+        vc_prime = ConnectedFlag.from_sets((frozenset({0}), frozenset({0, 2}),
+                                            frozenset(range(4))))
         with pytest.raises(NotAFlag):
             pullback_flag(g, vmap, vc_prime)
 
@@ -497,7 +499,7 @@ def peeled_least_flag(parts, arcs):
         x = min(sinks, key=lambda y: subset_key(chain[-1] - parts[y]))
         left.remove(x)
         chain.append(chain[-1] - parts[x])
-    return ConnectedFlag(tuple(reversed(chain)))
+    return ConnectedFlag.from_sets(reversed(chain))
 
 
 def part_index(g, parts):
@@ -674,8 +676,7 @@ class TestMergeSearch:
         assert len(peels) == records > 1000
         for parts, arcs, (chain, order) in peels:
             sets = [frozenset(v for v in range(p.bit_length()) if p >> v & 1) for p in parts]
-            flag = ConnectedFlag(tuple(frozenset(v for v in range(m.bit_length()) if m >> v & 1)
-                                       for m in chain))
+            flag = ConnectedFlag(chain)
             assert flag == peeled_least_flag(sets, arcs)
             assert flag.parts() == tuple(sets[x] for x in order)
 
@@ -736,6 +737,27 @@ def outcome(fn, *args):
 
 
 class TestMaskPath:
+    def test_flags_round_trip_through_sets(self, graph_corpus):
+        # every flag of S_k, k = 1..n, of the corpus at every base vertex,
+        # C6, K5 and the 2x3 grid: the set constructor (also on lists with
+        # repeated vertices) and validate_flag on its chain give it back, and
+        # its parts and literal match set-based references
+        checked = 0
+        graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+        for g in [*graphs, cycle(6), complete(5), grid_2x3()]:
+            for k in range(1, g.n + 1):
+                for uc in enumerate_minimal_flags(g, k):
+                    chain = uc.chain
+                    assert all(type(s) is frozenset for s in chain)
+                    assert ConnectedFlag.from_sets(chain) == uc
+                    assert ConnectedFlag.from_sets(sorted(s) * 2 for s in chain) == uc
+                    assert validate_flag(g, chain) == uc
+                    assert uc.parts() == (chain[0], *(b - a for a, b in zip(chain, chain[1:])))
+                    assert uc.literal() == " < ".join(
+                        "{" + ",".join(str(v + 1) for v in sorted(s)) + "}" for s in chain)
+                    checked += 1
+        assert checked > 5000
+
     def test_orientations_match_set_reference(self, graph_corpus):
         # G(U) and every o_j(U) of every S_k flag, against the same
         # orientations built from sets of part-level arcs
@@ -758,13 +780,13 @@ class TestMaskPath:
                 lower = enumerate_minimal_flags(g, uc.k - 1)
                 assert lower.flags[rec.row] == rec.flag
                 assert lower.flags.index(rec.flag) == rec.row
-                assert lower.row(flags._chain_masks(g, rec.flag)) == rec.row
+                assert lower.row(rec.flag.masks) == rec.row
                 checked += 1
         assert checked > 10000
 
     def test_hand_built_flag_matches_enumerated(self, graph_corpus):
-        # a flag whose sets the graph object never interned (validate_flag
-        # on a fresh copy of the graph) gives the enumerated flag's results:
+        # a flag built from sets (validate_flag on a fresh copy of the
+        # graph) equals the enumerated flag and gives its results:
         # every flag of C4, C5 and K5, and the first and last of each S_k of
         # the corpus at base vertex 1
         cases = [(g, lambda basis: basis) for g in (c4(), cycle(5), complete(5))]
@@ -780,7 +802,7 @@ class TestMaskPath:
                         h = replace(g)
                         return h, validate_flag(h, [set(s) for s in uc.chain])
                     h, hc = hand()
-                    assert h._cache.get("sets", ({}, {}))[1] == {}
+                    assert hc == uc
                     assert merge_records(h, hc) == records
                     for wc in dict.fromkeys(r.flag for r in records):
                         assert outcome(incidence_sign, *hand(), wc) == \

@@ -1,6 +1,15 @@
 import pytest
 
-from conftest import bfs_connected, c4, complete, digraph_is_acyclic, path, theta
+from conftest import (
+    bfs_connected,
+    c4,
+    complete,
+    cycle,
+    digraph_is_acyclic,
+    path,
+    reference_boundary_divisor,
+    theta,
+)
 from toppling.graphs import (
     BadVertex,
     Disconnected,
@@ -8,6 +17,7 @@ from toppling.graphs import (
     EmptySet,
     LoopEdge,
     Overlap,
+    _boundary,
     bfs_term_order,
     boundary_divisor,
     build_graph,
@@ -101,6 +111,13 @@ class TestBoundaryDivisor:
         with pytest.raises(Overlap):
             boundary_divisor(c4(), {0, 1}, {1, 2})
 
+    def test_vertex_outside_graph(self):
+        # named 1-based, on either side
+        with pytest.raises(BadVertex, match="vertex 5 "):
+            boundary_divisor(c4(), {0}, {1, 4})
+        with pytest.raises(BadVertex, match="vertex 0 "):
+            boundary_divisor(c4(), {-1}, {1})
+
     def test_symmetric_count(self):
         g = c4()
         assert sum(boundary_divisor(g, {0}, {1, 2, 3})) == 2
@@ -108,6 +125,25 @@ class TestBoundaryDivisor:
 
     def test_theta_count(self):
         assert sum(boundary_divisor(theta(3), {0}, {1})) == 3
+
+    def test_masks_match_set_reference(self, graph_corpus):
+        # every pair of disjoint non-empty vertex sets of K5, C6 and corpus
+        # graph 0, whose doubled edges exercise the multiplicities
+        doubled = build_graph(*graph_corpus[0], 0)
+        assert max(max(row) for row in doubled.mult) > 1
+        checked = 0
+        for g in (complete(5), cycle(6), doubled):
+            full = (1 << g.n) - 1
+            for a in range(1, full + 1):
+                rest = b = full ^ a
+                while b:
+                    sa = {v for v in range(g.n) if a >> v & 1}
+                    sb = {v for v in range(g.n) if b >> v & 1}
+                    want = reference_boundary_divisor(g, sa, sb)
+                    assert _boundary(g, a, b) == boundary_divisor(g, sa, sb) == want
+                    checked += 1
+                    b = (b - 1) & rest
+        assert checked == 3 ** 5 - 2 ** 6 + 1 + 2 * (3 ** 6 - 2 ** 7 + 1)
 
 
 class TestTermOrder:

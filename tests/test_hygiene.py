@@ -6,11 +6,13 @@ finds the functions it wraps by name, so a rename must fail here first.  A
 module imports only names it uses, every top-level definition and every
 method is used somewhere, and every parameter is read, so a refactor cannot
 leave one behind.  The modules
-form layers, each importing only the ones below it."""
+form layers, each importing only the ones below it.  Every string key of a
+graph's cache is named where the cache is declared."""
 
 import ast
 import importlib.util
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -83,6 +85,46 @@ def test_tracer_names_resolve():
     assert missing == []
     unders = {under for _, _, under, _ in tracing.COUNTERS.values()} - {None}
     assert unders <= set(tracing.NAME_ID)
+
+
+def _is_cache(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+
+def test_cache_keys_documented():
+    # the string constants in each key src subscripts, tests for membership
+    # or passes to a method of a graph's `_cache`; a key held in a local
+    # name is read from that name's assignment
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = {target.id: node.value for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign)
+                     for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Subscript) and _is_cache(node.value):
+                    key = node.slice
+                elif isinstance(node, ast.Compare) and _is_cache(node.comparators[-1]):
+                    key = node.left
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and _is_cache(node.func.value) and node.args:
+                    key = node.args[0]
+                else:
+                    continue
+                if isinstance(key, ast.Name):
+                    key = bound.get(key.id, key)
+                used.update(sub.value for sub in ast.walk(key)
+                            if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+    assert {"pairs", "bfs", "splits", "moves"} <= used
+    lines = (SRC / "graphs.py").read_text().splitlines()
+    end = next(i for i, line in enumerate(lines) if line.strip().startswith("_cache: dict"))
+    start = end
+    while lines[start - 1].strip().startswith("#"):
+        start -= 1
+    documented = set(re.findall(r'"(\w+)"', "\n".join(lines[start:end])))
+    assert documented == used
 
 
 LAYERS = ("graphs", "fields", "poly", "flags", "divisors", "resolution",
