@@ -21,7 +21,7 @@ from .graphs import (
     divisor_add,
     divisor_max,
     divisor_sub,
-    induced_connected,
+    mask_connected,
     zero_divisor,
 )
 from .poly import (
@@ -309,27 +309,22 @@ def brute_force_class_count(g: PointedGraph, k) -> int:
     The fingerprint, not the drop rule that grows S_k, makes it independent."""
     if not 1 <= k <= g.n:
         raise OracleError(f"k={k} out of range")
-    everything = frozenset(range(g.n))
+    qbit = 1 << g.q
     fingerprints = set()
 
     def descend(top, depth, suffix):
-        # top = current largest chain element still to be split
+        # top = the vertex mask of the largest chain element still to be split
         if depth == 1:
-            uc = ConnectedFlag.from_sets((top,) + suffix)
-            fingerprints.add(flag_orientation(g, uc))
+            fingerprints.add(flag_orientation(g, ConnectedFlag((top,) + suffix)))
             return
-        for r in range(1, len(top)):
-            for combo in itertools.combinations(sorted(top), r):
-                sub = frozenset(combo)
-                if g.q not in sub:
-                    continue
-                if not induced_connected(g, sub):
-                    continue
-                if not induced_connected(g, top - sub):
-                    continue
-                descend(sub, depth - 1, (top,) + suffix)
+        # the set below top: q plus a proper submask s of the rest of top
+        rest = s = top ^ qbit
+        while s:
+            s = (s - 1) & rest
+            if mask_connected(g, s | qbit) and mask_connected(g, rest ^ s):
+                descend(s | qbit, depth - 1, (top,) + suffix)
 
     if k == 1:
         return 1
-    descend(everything, k, ())
+    descend((1 << g.n) - 1, k, ())
     return len(fingerprints)

@@ -23,6 +23,7 @@ from .graphs import (
     bfs_term_order,
     divisor_sub,
     divisor_max,
+    neighbor_lists,
     zero_divisor,
 )
 from .poly import (
@@ -247,11 +248,19 @@ def _pic_levels(g: PointedGraph):
     """For k = 2..n, the q-reduced D(U) of each U in S_k, in basis order.
 
     U in S_k extends W = drop_first(U) in S_{k-1}, and D(U) = D(W) +
-    D(U_2 - U_1, U_1), with S_1 = {(V,)} and D((V,)) = 0.  So the class of
-    D(U) is that of r_W + D(U_2 - U_1, U_1), for r_W the q-reduced divisor of
-    W found one level down; that sum is effective off q, so only the firing
-    stage of q-reduction runs on it.  Only the reduced divisors of one
-    level are held at a time."""
+    D(A, U_1) for A = U_2 - U_1, with S_1 = {(V,)} and D((V,)) = 0.  So the
+    class of D(U) is that of r_W + D(A, U_1), for r_W the q-reduced divisor
+    of W found one level down.
+
+    Dhar's fire on that sum usually stops at A, so A is fired before any
+    burning.  D(A, U_1) gives each v in A back its edges to U_1, so the
+    firing is legal iff r_W(v) >= e(v, V - U_2) for every v in A, and then
+    yields r_W - D(A, V - U_2) + D(V - A, A).  Otherwise the start is
+    r_W + D(A, U_1) itself.  Either start is effective off q and lies in
+    the class of D(U), which holds one q-reduced divisor, so the firing
+    stage of q-reduction alone finds the same result from both.  Only the
+    reduced divisors of one level are held at a time."""
+    nbrs = neighbor_lists(g)
     lower = {((1 << g.n) - 1,): zero_divisor(g.n)}   # masks -> reduced divisor
     for k in range(2, g.n + 1):
         reps = {}
@@ -259,10 +268,22 @@ def _pic_levels(g: PointedGraph):
         # is looked up once per run
         for tail, run in itertools.groupby(enumerate_minimal_flags(g, k),
                                            key=lambda uc: uc.masks[1:]):
-            parent = lower[tail]
+            parent, u2 = lower[tail], tail[0]
             for uc in run:
                 u1 = uc.masks[0]
-                d = list(map(add, parent, _boundary(g, tail[0] ^ u1, u1)))
+                a = rest = u2 ^ u1
+                d = list(parent)
+                while rest:             # fire A once on r_W + D(A, U_1)
+                    v = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    for w, m in nbrs[v]:
+                        if not a >> w & 1:
+                            d[w] += m
+                            if not u2 >> w & 1:
+                                d[v] -= m
+                    if d[v] < 0:
+                        d = list(map(add, parent, _boundary(g, a, u1)))
+                        break
                 reps[uc.masks] = _reduce_effective(g, g.q, d)
         yield reps.values()
         lower = reps

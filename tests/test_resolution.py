@@ -1,14 +1,16 @@
 import copy
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from conftest import c4, complete, corpus, cycle, grid_2x3, path, per_flag_pic_table, theta
-from toppling import resolution
+from toppling import divisors, resolution
 from toppling.cli import main
 from toppling.fields import get_field
-from toppling.flags import enumerate_minimal_flags, flag_divisor
+from toppling.divisors import q_reduce
+from toppling.flags import drop_first, enumerate_minimal_flags, flag_divisor
 from toppling.graphs import bfs_term_order, build_graph
 from toppling.poly import add_into, monomial_divides
 from toppling.resolution import (
@@ -283,6 +285,41 @@ class TestBetti:
         graphs += [grid_2x3(q) for q in range(6)]
         for g in graphs:
             assert betti_table(g).pic_graded == per_flag_pic_table(g)
+
+    @pytest.mark.parametrize("n, flags", [(5, 149), (6, 1081), (7, 9365)])
+    def test_one_burn_per_flag_on_complete_graphs(self, monkeypatch, n, flags):
+        # on K_n firing U_2 - U_1 first leaves the q-reduced divisor, so
+        # Dhar's fire runs once per flag, only to confirm it
+        g = complete(n)
+        assert sum(len(enumerate_minimal_flags(g, k)) for k in range(2, n + 1)) == flags
+        real = divisors._burn
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(divisors, "_burn", counting)
+        betti_table(g)
+        assert len(calls) == flags
+
+    def test_both_firing_starts_run(self, graph_corpus):
+        # the walk fires A = U_2 - U_1 first when r_W(v) >= e(v, V - U_2) on
+        # A, for r_W the reduced divisor of W = drop_first(U), and reduces
+        # r_W + D(A, U_1) otherwise; both must give the class of D(U)
+        graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+        graphs += [theta(5), build_graph(2, [(0, 1)] * 5, 1)]
+        checked = Counter()
+        for g in graphs:
+            for k, reps in enumerate(resolution._pic_levels(g), 2):
+                for uc, rep in zip(enumerate_minimal_flags(g, k), reps, strict=True):
+                    u1, u2 = uc.chain[:2]
+                    r_w = q_reduce(g, g.q, flag_divisor(g, drop_first(uc)))
+                    legal = all(r_w[v] >= sum(g.mult[v][w] for w in range(g.n) if w not in u2)
+                                for v in u2 - u1)
+                    assert rep == q_reduce(g, g.q, flag_divisor(g, uc))
+                    checked[legal] += 1
+        assert checked[True] and checked[False]
 
     def test_totals_match_ranks(self):
         g = cycle(5)
