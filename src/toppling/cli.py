@@ -254,7 +254,7 @@ def _cmd_verify(g, args):
     if want("hochster"):
         top = g.n - 1
         for (i, j), c in bt.pic_graded.items():
-            if i == top and hochster_betti(g, i, j.rep) != c:
+            if i == top and hochster_betti(g, i, j.rep, field) != c:
                 raise IdentityViolation(f"Hochster mismatch at {j}")
         lines.append("hochster ok")
     if want("flags"):

@@ -11,12 +11,13 @@ from .flags import enumerate_minimal_flags, flag_orientation
 from .graphs import (
     PointedGraph,
     bfs_order,
+    check_vertices,
     divisor_add,
     divisor_deg,
     divisor_sub,
     indegree_divisor,
+    mask_connected,
     neighbor_lists,
-    zero_divisor,
 )
 
 
@@ -39,33 +40,45 @@ class PicClass:
 
 def laplacian_of(g: PointedGraph, f):
     """Delta(f)(v) = sum over edges {v,w} of f(v) - f(w)."""
+    _check_length(g, f)
     d = [0] * g.n
     for v in range(g.n):
         d[v] = sum(g.mult[v][w] * (f[v] - f[w]) for w in range(g.n))
     return tuple(d)
 
 
-def _fire(g: PointedGraph, d, members, times):
-    """Fire the set `members` `times` times, in place on the list d: each
-    edge leaving the set moves `times` chips from its end inside to its end
-    outside.  Edges inside the set cancel, so they are not touched."""
-    for v in members:
-        for w, m in enumerate(g.mult[v]):
-            if m and w not in members:
+def _fire(g: PointedGraph, d, mask, times):
+    """Fire the vertex mask `mask` `times` times, in place on the list d:
+    each edge leaving the set moves `times` chips from its end inside to its
+    end outside.  Edges inside the set cancel, so they are not touched."""
+    nbrs = neighbor_lists(g)
+    rest = mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        for w, m in nbrs[v]:
+            if not mask >> w & 1:
                 d[v] -= m * times
                 d[w] += m * times
+        rest &= rest - 1
 
 
 def fire_set(g: PointedGraph, d, members, times=1):
     """Subtract times * Delta(chi_members) from d."""
+    _check_length(g, d)
+    members = frozenset(members)
+    check_vertices(g, members)
     d = list(d)
-    _fire(g, d, frozenset(members), times)
+    _fire(g, d, sum(1 << v for v in members), times)
     return tuple(d)
 
 
-def _check_input(g: PointedGraph, q, d):
+def _check_length(g: PointedGraph, d):
     if len(d) != g.n:
         raise DivisorError(f"divisor has {len(d)} entries, graph has n={g.n} vertices")
+
+
+def _check_input(g: PointedGraph, q, d):
+    _check_length(g, d)
     if not 0 <= q < g.n:
         raise DivisorError(f"q={q} out of range for n={g.n}")
 
@@ -123,14 +136,16 @@ def q_reduce(g: PointedGraph, q, d):
     _check_input(g, q, d)
     d = list(d)
     order = bfs_order(g, q)
+    nbrs = neighbor_lists(g)
     # Stage 1: clear negative values off q, farthest first.  Firing the BFS
     # ball below v only adds chips at vertices processed earlier.
+    ball = (1 << g.n) - 1
     for i in range(g.n - 1, 0, -1):
         v = order[i]
+        ball ^= 1 << v          # the mask of order[:i]
         if d[v] >= 0:
             continue
-        ball = frozenset(order[:i])
-        c = sum(g.mult[v][w] for w in ball)
+        c = sum(m for w, m in nbrs[v] if ball >> w & 1)
         # BFS parent of v lies in the ball, so c >= 1
         _fire(g, d, ball, (-d[v] + c - 1) // c)
     # Stage 2: d is now non-negative off q.
@@ -170,34 +185,34 @@ def pic_class(g: PointedGraph, d) -> PicClass:
 
 def spanning_tree_count(g: PointedGraph) -> int:
     """Matrix-tree: determinant of a principal minor of the Laplacian."""
-    n = g.n
-    if n == 1:
-        return 1
-    idx = [v for v in range(n) if v != g.q]
+    idx = [v for v in range(g.n) if v != g.q]
     mat = [[g.degree(u) if u == v else -g.mult[u][v] for v in idx] for u in idx]
-    return _int_det(mat)
+    return _bareiss(mat)[1]
 
 
-def _int_det(mat):
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
+def _bareiss(mat):
+    """Fraction-free (Bareiss) elimination of an integer matrix, given as a
+    list of rows: (rank, determinant), the determinant 0 unless the matrix is
+    square of full rank, and 1 for the empty matrix.  Each entry stays a
+    minor of the input, so every division is exact."""
     a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for s in range(k + 1, n):
-                if a[s][k]:
-                    a[k], a[s] = a[s], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rows, cols = len(a), len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if a[r][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        for r in range(rank + 1, rows):
+            for c2 in range(c + 1, cols):
+                a[r][c2] = (a[r][c2] * a[rank][c] - a[r][c] * a[rank][c2]) // prev
+        prev = a[rank][c]
+        rank += 1
+        if rank == rows:
+            break
+    return rank, sign * prev if rank == rows == cols else 0
 
 
 def linear_system(g: PointedGraph, d):
@@ -207,9 +222,10 @@ def linear_system(g: PointedGraph, d):
     r(q) >= 0.  Any two effective divisors of one class are joined by legal
     set-firings (Baker-Norine, Riemann-Roch and Abel-Jacobi theory on a
     finite graph, 2007): if e' = e - Delta(f), firing the top level set of f
-    from e keeps it effective.  So a breadth-first search from r over
-    firings of non-empty proper vertex sets that stay effective finds all
-    of |d|."""
+    from e keeps it effective.  A set with no edge between two of its parts
+    fires as those parts in turn, each firing legal alone.  So a
+    breadth-first search from r over firings of connected non-empty proper
+    vertex sets that stay effective finds all of |d|."""
     if divisor_deg(d) < 0:
         return []
     r = q_reduce(g, g.q, d)
@@ -228,22 +244,16 @@ def linear_system(g: PointedGraph, d):
 
 
 def _moves(g: PointedGraph):
-    """-Delta(chi_S) for every non-empty proper vertex mask S, in mask
-    order, cached on g.  The Laplacian is linear, so the move of S is that
-    of S without its lowest vertex plus that vertex's own move."""
+    """-Delta(chi_S) for every connected non-empty proper vertex mask S, in
+    mask order, cached on g."""
     if "moves" not in g._cache:
-        single = []
-        for v, row in enumerate(neighbor_lists(g)):
-            move = [0] * g.n
-            for w, m in row:
-                move[v] -= m
-                move[w] = m
-            single.append(tuple(move))
-        moves = [zero_divisor(g.n)]
+        moves = []
         for mask in range(1, (1 << g.n) - 1):
-            low = mask & -mask
-            moves.append(divisor_add(moves[mask ^ low], single[low.bit_length() - 1]))
-        g._cache["moves"] = tuple(moves[1:])
+            if mask_connected(g, mask):
+                move = [0] * g.n
+                _fire(g, move, mask, 1)
+                moves.append(tuple(move))
+        g._cache["moves"] = tuple(moves)
     return g._cache["moves"]
 
 

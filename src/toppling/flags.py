@@ -10,10 +10,11 @@ import operator
 from dataclasses import dataclass
 
 from .graphs import (
-    BadVertex,
     PointedGraph,
     _boundary,
+    check_vertices,
     divisor_max,
+    indegree_divisor,
     mask_connected,
     neighbor_masks,
 )
@@ -111,9 +112,7 @@ def _literal(m):
 
 def validate_flag(g: PointedGraph, chain) -> ConnectedFlag:
     chain = tuple(frozenset(s) for s in chain)
-    outside = sorted(v for s in chain for v in s if not 0 <= v < g.n)
-    if outside:
-        raise BadVertex(f"vertex {outside[0] + 1} is not in the graph (vertices 1..{g.n})")
+    check_vertices(g, (v for s in chain for v in s))
     uc = ConnectedFlag.from_sets(chain)
     masks = uc.masks
     if not masks or not masks[0] >> g.q & 1:
@@ -168,13 +167,7 @@ def flag_orientation(g: PointedGraph, uc: ConnectedFlag):
 def flag_divisor(g: PointedGraph, uc: ConnectedFlag):
     """D(U), the indegree divisor of G(U): every edge between two parts adds
     its multiplicity at its end in the higher part."""
-    level = _levels(g, uc)
-    d = [0] * g.n
-    for u, v in g.adjacent_pairs():
-        a, b = level[u], level[v]
-        if a != b:
-            d[u if a > b else v] += g.mult[u][v]
-    return tuple(d)
+    return indegree_divisor(g, flag_orientation(g, uc))
 
 
 def flags_equivalent(g: PointedGraph, u: ConnectedFlag, v: ConnectedFlag) -> bool:

@@ -145,12 +145,18 @@ def induced_connected(g: PointedGraph, s) -> bool:
     return mask_connected(g, m)
 
 
+def check_vertices(g: PointedGraph, vertices):
+    """Raise BadVertex, naming the lowest, if any of `vertices` is not a
+    vertex of g."""
+    outside = sorted(v for v in vertices if not 0 <= v < g.n)
+    if outside:
+        raise BadVertex(f"vertex {outside[0] + 1} is not in the graph (vertices 1..{g.n})")
+
+
 def boundary_divisor(g: PointedGraph, a, b):
     """D(a,b): for v in a, the number of edges from v into b; zero off a."""
     a, b = frozenset(a), frozenset(b)
-    outside = sorted(v for v in a | b if not 0 <= v < g.n)
-    if outside:
-        raise BadVertex(f"vertex {outside[0] + 1} is not in the graph (vertices 1..{g.n})")
+    check_vertices(g, a | b)
     if a & b:
         raise Overlap(f"sets overlap: {sorted(a & b)}")
     return _boundary(g, sum(1 << v for v in a), sum(1 << v for v in b))

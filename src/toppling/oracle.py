@@ -8,11 +8,10 @@ against the closed-form construction in `resolution`.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .divisors import PicClass, linear_system, q_reduce
+from .divisors import PicClass, _bareiss, linear_system, q_reduce
 from .fields import PrimeField, RationalField
 from .flags import ConnectedFlag, flag_orientation
 from .graphs import (
@@ -198,44 +197,44 @@ def delta_complex(g: PointedGraph, d) -> SimplicialComplex:
     return SimplicialComplex(tuple(sorted(facets, key=sorted)))
 
 
-def _all_faces(c: SimplicialComplex):
-    faces = set()
-    for f in c.facets:
-        verts = sorted(f)
-        for r in range(len(verts) + 1):
-            faces.update(frozenset(s) for s in itertools.combinations(verts, r))
-    return faces
-
-
 def reduced_homology_dims(c: SimplicialComplex, field=None):
-    """{i: dim H~_i} for i = -1 .. dim(c).  Void complex -> all zero."""
+    """{i: dim H~_i} for i = -1 .. dim(c).  Void complex -> all zero.
+
+    Faces are vertex masks, the submasks of each facet's mask.  Dropping
+    vertex v from a face f has sign (-1)^(number of vertices of f below v).
+    The boundary matrices hold the integers +-1, ranked by Bareiss
+    elimination over the rationals and by Gaussian elimination over a prime
+    field."""
     if field is None:
         field = RationalField()
     if not c.facets:
         return {}
-    faces = _all_faces(c)
+    faces = {0}
+    for facet in c.facets:
+        m = sub = sum(1 << v for v in facet)
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & m
     by_dim = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
+    for f in sorted(faces):
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(by_dim)
-    pos = {d: {f: i for i, f in enumerate(sorted(fs, key=sorted))}
-           for d, fs in by_dim.items()}
+    pos = {d: {f: i for i, f in enumerate(fs)} for d, fs in by_dim.items()}
 
     def boundary_rank(d):
         # rank of the map C_d -> C_{d-1}
-        if d not in by_dim or d - 1 not in by_dim:
+        if d not in by_dim:
             return 0
-        rows, cols = len(by_dim[d - 1]), len(by_dim[d])
-        mat = [[field.zero] * cols for _ in range(rows)]
-        for f, ci in pos[d].items():
-            verts = sorted(f)
-            for omit in range(len(verts)):
-                sub = frozenset(verts[:omit] + verts[omit + 1:])
-                sgn = field.one if omit % 2 == 0 else field.neg(field.one)
-                mat[pos[d - 1][sub]][ci] = sgn
+        below = pos[d - 1]
+        mat = [[0] * len(by_dim[d]) for _ in below]
+        for ci, f in enumerate(by_dim[d]):
+            rest = f
+            while rest:
+                low = rest & -rest
+                mat[below[f ^ low]][ci] = -1 if (f & (low - 1)).bit_count() & 1 else 1
+                rest ^= low
         if isinstance(field, RationalField):
-            # +-1 entries: fraction-free elimination keeps integers small
-            return _int_rank([[int(x) for x in row] for row in mat])
+            return _bareiss(mat)[0]
         return _matrix_rank(mat, field)
 
     ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
@@ -269,34 +268,13 @@ def _matrix_rank(mat, field):
     return rank
 
 
-def _int_rank(mat):
-    """Fraction-free (Bareiss) rank of an integer matrix."""
-    a = [row[:] for row in mat]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for r in range(rank + 1, rows):
-            for c2 in range(c + 1, cols):
-                a[r][c2] = (a[r][c2] * a[rank][c] - a[r][c] * a[rank][c2]) // prev
-            a[r][c] = 0
-        prev = a[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def hochster_betti(g: PointedGraph, i, d) -> int:
-    """beta_{i,[d]}(R/I) as dim H~_{i-1} of the support complex of |d|.
+def hochster_betti(g: PointedGraph, i, d, field=None) -> int:
+    """beta_{i,[d]}(R/I) as dim H~_{i-1} of the support complex of |d|, over
+    `field` (the rationals by default).
 
     The index shift is calibrated: H~_{-1}({emptyset}) = 1 gives beta_0 at
     the trivial class."""
-    dims = reduced_homology_dims(delta_complex(g, d))
+    dims = reduced_homology_dims(delta_complex(g, d), field)
     return dims.get(i - 1, 0)
 
 

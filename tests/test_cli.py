@@ -236,6 +236,19 @@ class TestVerify:
         assert capsys.readouterr().out == \
             "complex ok\nhilbert ok\nschreyer ok\nhochster ok\nflags ok\n"
 
+    def test_hochster_takes_the_field(self, c4_file, monkeypatch):
+        real = oracle.reduced_homology_dims
+        fields = []
+
+        def spy(c, field=None):
+            fields.append(field)
+            return real(c, field)
+
+        monkeypatch.setattr(oracle, "reduced_homology_dims", spy)
+        assert main(["verify", "--graph", c4_file, "--oracle", "hochster",
+                     "--field", "prime:2"]) == 0
+        assert fields and all(repr(f) == "GF(2)" for f in fields)
+
     def test_one_betti_table(self, c4_file, capsys, monkeypatch):
         # the Hilbert, Schreyer and Hochster oracles share one table, and no
         # check builds its own inside `resolution`
@@ -302,7 +315,7 @@ class TestVerify:
         wrong = {
             "verify_resolution": higher_lead,
             "minimalize": one_extra,
-            "hochster_betti": lambda g, i, d: -1,
+            "hochster_betti": lambda g, i, d, field: -1,
             "brute_force_class_count": lambda g, k: -1,
         }
         monkeypatch.setattr(cli, name, wrong[name])

@@ -33,7 +33,7 @@ from toppling.divisors import (
     spanning_tree_count,
 )
 from toppling.flags import enumerate_minimal_flags, flag_divisor
-from toppling.graphs import build_graph
+from toppling.graphs import BadVertex, build_graph
 
 
 class TestLaplacian:
@@ -240,7 +240,8 @@ class TestAgainstReferences:
 
 
 class TestBadInput:
-    """The functions that take q check it and the divisor's length."""
+    """The functions that take q check it, every function that takes a
+    divisor checks its length, and fire_set checks its vertices."""
 
     BURNS = [q_reduce, burn_order, dhar_burn, is_q_reduced]
 
@@ -255,6 +256,22 @@ class TestBadInput:
     def test_wrong_length(self, fn, d):
         with pytest.raises(DivisorError, match=f"divisor has {len(d)} entries"):
             fn(c4(), 0, d)
+
+    @pytest.mark.parametrize("v", [-1, 3, 5])
+    def test_fire_set_vertex_out_of_range(self, v):
+        # -1 would index vertex 3 of K3 from the end
+        with pytest.raises(BadVertex, match=f"vertex {v + 1} is not in the graph"):
+            fire_set(complete(3), (0, 0, 0), [v])
+
+    @pytest.mark.parametrize("d", [(0, 0), (0, 0, 0, 0)])
+    def test_fire_set_wrong_length(self, d):
+        with pytest.raises(DivisorError, match=f"divisor has {len(d)} entries"):
+            fire_set(complete(3), d, [0])
+
+    @pytest.mark.parametrize("f", [(1, 0), (1, 0, 0, 0, 0)])
+    def test_laplacian_wrong_length(self, f):
+        with pytest.raises(DivisorError, match=f"divisor has {len(f)} entries"):
+            laplacian_of(c4(), f)
 
 
 class TestOrientationCorrespondence:

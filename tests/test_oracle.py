@@ -341,6 +341,15 @@ class TestDeltaComplex:
         dc = delta_complex(c4(), (3, 1, 0, 0))
         assert reduced_homology_dims(dc) == reduced_homology_dims(dc, F)
 
+    def test_projective_plane_depends_on_field(self):
+        # the 6-vertex RP^2: H_1 = Z/2, so its reduced homology vanishes
+        # over Q and GF(3) and is one-dimensional in degrees 1 and 2 over GF(2)
+        rp2 = SimplicialComplex(tuple(frozenset(int(c) - 1 for c in f) for f in
+                                      "123 134 145 156 162 235 346 452 563 624".split()))
+        assert reduced_homology_dims(rp2) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        assert reduced_homology_dims(rp2, get_field("prime:3")) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        assert reduced_homology_dims(rp2, get_field("prime:2")) == {-1: 0, 0: 0, 1: 1, 2: 1}
+
 
 class TestHochster:
     def test_trivial_class(self):
