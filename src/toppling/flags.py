@@ -232,26 +232,19 @@ class FlagBasis:
     """Minimal representatives of k-flag classes of g, sorted by <_k, with
     `row` finding a flag by the vertex masks of its chain."""
 
-    __slots__ = ("flags", "_n", "_rows", "__weakref__")
+    __slots__ = ("flags", "_rows", "__weakref__")
 
-    def __init__(self, g: PointedGraph, flags):
+    def __init__(self, flags):
         self.flags = tuple(flags)
-        self._n = g.n
-        self._rows = None       # packed chain -> position, built on the first lookup
-
-    def _packed(self, chain):
-        """The masks as one int, n bits each: a smaller key than a tuple."""
-        key = 0
-        for m in chain:
-            key = key << self._n | m
-        return key
+        self._rows = None       # chain masks -> position, built on the first lookup
 
     def row(self, chain):
         """The position of the flag whose chain has the vertex masks `chain`
         (a tuple of ints), or None if no flag here has them."""
         if self._rows is None:
-            self._rows = {self._packed(f.masks): i for i, f in enumerate(self.flags)}
-        return self._rows.get(self._packed(chain))
+            # keyed by each flag's own masks tuple, so the index holds no new key
+            self._rows = {f.masks: i for i, f in enumerate(self.flags)}
+        return self._rows.get(chain)
 
     def __len__(self):
         return len(self.flags)
@@ -272,7 +265,7 @@ def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
         flags = []
     else:
         flags = _drop_rule_flags(g, enumerate_minimal_flags(g, k - 1))
-    basis = FlagBasis(g, flags)
+    basis = FlagBasis(flags)
     g._cache[k] = basis
     return basis
 
@@ -433,27 +426,37 @@ def _merge_target(parts, keys, succ, pred, a, b, basis):
     orientation, and parity is the sign of the permutation carrying the
     parts of that flag to (A_a | A_b, the rest in order).  keys[x] is
     (|A| << n) - lowest bit of A, for A = parts[x].  The fused part keeps
-    index lo = min(a, b): on a mask of parts, bit hi moves to lo and the
-    bits above hi move down one."""
+    index lo = min(a, b), and hi = max(a, b) is left dead: its arcs move to
+    lo, so it has none and no other part is renumbered."""
     lo, hi = min(a, b), max(a, b)
-    below, fused = (1 << hi) - 1, 1 << lo
-    qsucc = [m & below | m >> hi + 1 << hi | (m >> hi & 1) << lo for m in succ]
-    qpred = [m & below | m >> hi + 1 << hi | (m >> hi & 1) << lo for m in pred]
-    qsucc[lo] = (qsucc[lo] | qsucc.pop(hi)) & ~fused
-    qpred[lo] = (qpred[lo] | qpred.pop(hi)) & ~fused
-    _realign(qsucc, qpred)
+    lobit, hibit = 1 << lo, 1 << hi
+    succ, pred = succ[:], pred[:]
+    rest = (succ[hi] | pred[hi]) & ~lobit      # the other ends of hi's arcs
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if succ[x] & hibit:
+            succ[x] = succ[x] & ~hibit | lobit
+        if pred[x] & hibit:
+            pred[x] = pred[x] & ~hibit | lobit
+    succ[lo] = (succ[lo] | succ[hi]) & ~(lobit | hibit)
+    pred[lo] = (pred[lo] | pred[hi]) & ~(lobit | hibit)
+    succ[hi] = pred[hi] = 0
+    _realign(succ, pred)
+    pa, pb = parts[lo], parts[hi]
     new_parts, new_keys = parts[:], keys[:]
-    pa, pb = new_parts[lo], new_parts.pop(hi)
     new_parts[lo] = pa | pb
     # sizes add, and the lower of the two lowest bits stays
-    new_keys[lo] += new_keys.pop(hi) + max(pa & -pa, pb & -pb)
-    chain, order = _peel(new_parts, qsucc, sorted(range(len(new_keys)),
-                                                  key=new_keys.__getitem__))
+    new_keys[lo] += keys[hi] + max(pa & -pa, pb & -pb)
+    rank = sorted(range(len(parts)), key=new_keys.__getitem__)
+    rank.remove(hi)
+    chain, order = _peel(new_parts, succ, rank)
     row = basis.row(chain)
     if row is None:
-        raise MergeError(f"merged orientation {_arcs(qsucc)} has no class representative")
-    # moving the fused part (new index lo) to the front takes lo transpositions
-    return row, (-1) ** lo * _parity(order)
+        raise MergeError(f"merged orientation {_arcs(succ)} has no class representative")
+    # moving the fused part (index lo among the live parts) to the front
+    # takes lo transpositions
+    return row, -_parity(order) if lo & 1 else _parity(order)
 
 
 def _parity(seq):
@@ -474,11 +477,12 @@ def _peel(parts, succ, rank):
     prefix C - P (larger sets first, then lex).  That is the smallest sink
     and, among sinks of one size, the one whose least vertex is largest (the
     parts are disjoint, so the other prefix keeps that vertex): the first
-    sink in `rank`, the part indices sorted by (size, -least vertex), which
-    the peel consumes."""
+    sink in `rank`, the live part indices sorted by (size, -least vertex),
+    which the peel consumes.  A dead index is in no successor mask and not
+    in `rank`, so the peel never reaches it."""
     left = (1 << len(parts)) - 1
     order = []
-    for _ in range(len(parts) - 1):
+    for _ in range(len(rank) - 1):
         for x in rank:
             if not succ[x] & left:
                 break
@@ -502,8 +506,9 @@ def _realign(succ, pred):
     Enumerating degree sequences in digraphs and a cycle-cocycle reversing
     system, 2007; Benson-Chakrabarty-Tetali, G-parking functions, acyclic
     orientations and spanning trees, 2010), so one already of that form is
-    left unchanged.  MergeError: node 0 is left with an incoming arc, so
-    the orientation had a cycle."""
+    left unchanged.  A node with no arcs (a dead part) is passed over.
+    MergeError: node 0 is left with an incoming arc, so the orientation had
+    a cycle."""
     x = 1
     while x < len(succ):
         if pred[x] or not succ[x]:
@@ -520,16 +525,27 @@ def _realign(succ, pred):
         raise MergeError(f"cyclic orientation {_arcs(succ)}: node 0 has an incoming arc")
 
 
-def merge_records(g: PointedGraph, uc: ConnectedFlag):
-    """All members of B(U) with their (i, j) provenance; I(U) is the i < j
-    sublist.  Needs uc in S_k with k >= 3 (k = 2 merges only hit the 1-flag).
+def _front_sign(i, j):
+    """The sign of the permutation carrying A_1..A_k to (A_i, A_j, the rest
+    in order), for 1-based i != j: i - 1 + j - 1 transpositions, less one
+    when i < j."""
+    return -1 if (i + j - (i < j)) % 2 else 1
 
-    A merge fuses the ends of an arc a -> b (0-based parts) of G(U), a < b,
-    or of o_j(U), a >= j = b + 1.  It counts iff the quotient stays acyclic,
-    that is iff no other path runs from a to b: a cycle through the fused
-    part leaves it by another arc and comes back, and it can neither leave
-    from b nor come back to a without a cycle before the fuse.  Both tests
-    read the ancestor masks of G(U), so only the kept merges are fused:
+
+def _merge_terms(g: PointedGraph, uc: ConnectedFlag):
+    """Every member of B(U), as (a, b, row, theta, sign, from_reversal): the
+    fused parts a, b (0-based), the target's position row in S_{k-1}, theta
+    = D(A_b, A_a), the incidence sign, and whether the merge is inside some
+    o_j(U) rather than G(U).  Needs uc in S_k with k >= 3 (k = 2 merges only
+    hit the 1-flag).  This is the one merge routine: the differentials read
+    it term by term, and `merge_records` wraps it.
+
+    A merge fuses the ends of an arc a -> b of G(U), a < b, or of o_j(U),
+    a >= j = b + 1.  It counts iff the quotient stays acyclic, that is iff
+    no other path runs from a to b: a cycle through the fused part leaves it
+    by another arc and comes back, and it can neither leave from b nor come
+    back to a without a cycle before the fuse.  Both tests read the ancestor
+    masks of G(U), so only the kept merges are fused:
     - G(U) runs up the part order, so another path exists iff a has a
       successor among the ancestors of b;
     - o_j(U) runs up within 0..j-1 and within j..k-1, and down from j..k-1
@@ -542,16 +558,25 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
     climb = [0] * uc.k     # the parts adjacent to a part that a reaches in G(U)
     for a, b in reversed(adjacent):     # climb[b] is complete here
         climb[a] |= climb[b] | up[b] | down[b]
-    records = []
     for a, b in adjacent:
         if not up[a] & anc[b]:
             row, parity = _merge_target(parts, keys, up, down, a, b, basis)
-            records.append(MergeRecord(a + 1, b + 1, basis.flags[row], row, False, parity))
+            yield (a, b, row, _boundary(g, parts[b], parts[a]),
+                   _front_sign(a + 1, b + 1) * parity, False)
     for b, a in adjacent:
         if not (up[a] | down[a] | climb[a]) & anc[b] and not climb[a] >> b & 1:
             row, parity = _merge_target(parts, keys, *_oriented(up, down, b + 1), a, b, basis)
-            records.append(MergeRecord(a + 1, b + 1, basis.flags[row], row, True, parity))
-    return records
+            yield (a, b, row, _boundary(g, parts[b], parts[a]),
+                   _front_sign(a + 1, b + 1) * parity, True)
+
+
+def merge_records(g: PointedGraph, uc: ConnectedFlag):
+    """All members of B(U) with their (i, j) provenance, read off
+    `_merge_terms`; I(U) is the i < j sublist.  Needs uc in S_k with
+    k >= 3."""
+    flags = enumerate_minimal_flags(g, uc.k - 1).flags
+    return [MergeRecord(a + 1, b + 1, flags[row], row, rev, _front_sign(a + 1, b + 1) * sign)
+            for a, b, row, _, sign, rev in _merge_terms(g, uc)]
 
 
 def merge_sets(g: PointedGraph, uc: ConnectedFlag):
@@ -566,9 +591,8 @@ def merge_sets(g: PointedGraph, uc: ConnectedFlag):
 
 def record_sign(rec: MergeRecord) -> int:
     """The sign of the permutation carrying A_1..A_k to (A_i, A_j, the rest
-    in order), which takes i - 1 + j - 1 transpositions less one when i < j,
-    times the record's parity."""
-    return (-1 if (rec.i + rec.j - (rec.i < rec.j)) % 2 else 1) * rec.parity
+    in order), times the record's parity."""
+    return _front_sign(rec.i, rec.j) * rec.parity
 
 
 def record_theta(g: PointedGraph, uc: ConnectedFlag, rec: MergeRecord):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import lcm
 
 from .divisors import PicClass, _bareiss, linear_system, q_reduce
 from .fields import PrimeField, RationalField
@@ -203,7 +204,7 @@ def reduced_homology_dims(c: SimplicialComplex, field=None):
     Faces are vertex masks, the submasks of each facet's mask.  Dropping
     vertex v from a face f has sign (-1)^(number of vertices of f below v).
     The boundary matrices hold the integers +-1, ranked by Bareiss
-    elimination over the rationals and by Gaussian elimination over a prime
+    elimination over the rationals and by `_matrix_rank` over a prime
     field."""
     if field is None:
         field = RationalField()
@@ -234,7 +235,7 @@ def reduced_homology_dims(c: SimplicialComplex, field=None):
                 mat[below[f ^ low]][ci] = -1 if (f & (low - 1)).bit_count() & 1 else 1
                 rest ^= low
         if isinstance(field, RationalField):
-            return _bareiss(mat)[0]
+            return _bareiss(mat)[0]     # already integers
         return _matrix_rank(mat, field)
 
     ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
@@ -247,21 +248,32 @@ def reduced_homology_dims(c: SimplicialComplex, field=None):
 
 
 def _matrix_rank(mat, field):
-    if not mat or not mat[0]:
-        return 0
-    a = [row[:] for row in mat]
-    rows, cols = len(a), len(a[0])
+    """The rank of a matrix given as a list of rows of field elements: over
+    the rationals by Bareiss elimination once each row is scaled to
+    integers, which keeps the rank; over a PrimeField by Gaussian
+    elimination below each pivot on plain ints, with one % p per entry that
+    a row operation writes."""
+    if not isinstance(field, PrimeField):
+        scaled = []
+        for row in mat:
+            m = lcm(*(x.denominator for x in row))
+            scaled.append([x.numerator * (m // x.denominator) for x in row])
+        return _bareiss(scaled)[0]
+    p = field.p
+    a = [[x % p for x in row] for row in mat]
+    rows, cols = len(a), len(a[0]) if a else 0
     rank = 0
     for c in range(cols):
-        piv = next((r for r in range(rank, rows) if not field.is_zero(a[r][c])), None)
+        piv = next((r for r in range(rank, rows) if a[r][c]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = field.inv(a[rank][c])
-        for r in range(rows):
-            if r != rank and not field.is_zero(a[r][c]):
-                fac = field.mul(a[r][c], inv)
-                a[r] = [field.sub(x, field.mul(fac, y)) for x, y in zip(a[r], a[rank])]
+        top = a[rank]
+        inv = pow(top[c], -1, p)
+        for r in range(rank + 1, rows):
+            if a[r][c]:
+                f = a[r][c] * inv
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], top)]
         rank += 1
         if rank == rows:
             break

@@ -10,12 +10,7 @@ from operator import add
 
 from .divisors import PicClass, _reduce_effective, hilbert_function
 from .fields import PrimeField
-from .flags import (
-    enumerate_minimal_flags,
-    merge_records,
-    record_sign,
-    record_theta,
-)
+from .flags import _merge_terms, enumerate_minimal_flags
 from .graphs import (
     PointedGraph,
     TermOrder,
@@ -168,10 +163,10 @@ def _build(g, variants, field):
 
 
 def _merge_differentials(g, field, bases, variants):
-    """phi_1, phi_2, ... of each variant from one pass over the merge
-    records.  A record's row, sign and theta are taken once; a merge inside
-    G(U) enters the column of every variant, a merge inside some o_j(U)
-    only the binomial one."""
+    """phi_1, phi_2, ... of each variant from one pass over the merges: each
+    (row, theta, sign) of `flags._merge_terms` enters its column as
+    sign * x^theta at that row.  A merge inside G(U) enters the column of
+    every variant, a merge inside some o_j(U) only the binomial one."""
     one, minus = field.one, field.neg(field.one)
     out = [[] for _ in variants]      # out[i][t-1]: the columns of phi_t, variant i
     for t in range(1, len(bases)):
@@ -181,15 +176,15 @@ def _merge_differentials(g, field, bases, variants):
             cols = [{} for _ in variants]
             for diffs, col in zip(out, cols):
                 diffs[-1].append(col)
-            # rec.from_reversal -> the columns the record enters
+            # from_reversal -> the columns the merge enters
             into = (cols, [col for v, col in zip(variants, cols) if v == "binomial"])
-            for rec in merge_records(g, uc):
-                targets = into[rec.from_reversal]
-                if targets:
-                    term = {(rec.row, record_theta(g, uc, rec)):
-                            one if record_sign(rec) > 0 else minus}
-                    for col in targets:
-                        add_into(field, col, term)
+            for _, _, row, theta, sign, from_reversal in _merge_terms(g, uc):
+                key, c = (row, theta), one if sign > 0 else minus
+                for col in into[from_reversal]:
+                    if key in col:      # a second merge with this term
+                        add_into(field, col, {key: c})
+                    else:
+                        col[key] = c
     return out
 
 
@@ -199,19 +194,35 @@ def _check_composition(res):
     terms, must vanish.  Raises CompositionNonzero at the first column that
     does not.
 
-    The coefficients of both fields are Python numbers whose + and * map onto
-    the field's (PrimeField keeps residues, RationalField Fractions), so each
-    (row, monomial) sums its products exactly before one is_zero test."""
-    field = res.field
+    Each (row, monomial) is packed into one int, an exponent per field of w
+    bits and the row above them, so a product term's key is the sum of two
+    ints.  w holds the sum of the largest exponents of the two levels, so
+    no field carries into the next.  The coefficients of both fields are
+    Python numbers whose + and * map onto the field's (PrimeField keeps
+    residues, RationalField Fractions), so each key sums its products
+    exactly before one is_zero test."""
+    field, n = res.field, res.g.n
     for t in range(1, len(res.diffs)):
-        lower = res.diffs[t - 1]
-        for c, col in enumerate(res.diffs[t]):
+        lower, upper = res.diffs[t - 1], res.diffs[t]
+        exps = [{e for col in level for _, e in col} for level in (lower, upper)]
+        w = sum(max(map(max, level), default=0) for level in exps).bit_length()
+        packed = {}
+        for e in exps[0] | exps[1]:
+            key = 0
+            for x in reversed(e):
+                key = key << w | x
+            packed[e] = key
+        shift = w * n
+        # the terms of each column of phi_{t-1}, keyed by row and monomial
+        terms = [[(i << shift | packed[f], b) for (i, f), b in col.items()] for col in lower]
+        for c, col in enumerate(upper):
             acc = {}
             for (r, e), a in col.items():
-                for (i, f), b in lower[r].items():
-                    key = (i, tuple(map(add, e, f)))
+                pe = packed[e]
+                for key, b in terms[r]:
+                    key += pe
                     acc[key] = acc.get(key, 0) + a * b
-            rows = [i for (i, _), s in acc.items() if not field.is_zero(s)]
+            rows = [key >> shift for key, s in acc.items() if not field.is_zero(s)]
             if rows:
                 raise CompositionNonzero(
                     f"phi_{t-1} . phi_{t} nonzero at column {c}, row {min(rows)}")
@@ -392,8 +403,12 @@ def hilbert_check(g: PointedGraph, bt: BettiTable) -> list:
 # text emission
 
 def format_resolution(res: FreeResolution):
+    """The text of every differential: a `phi t rows cols` header, then one
+    `row col entry` line per nonzero entry.  An entry of one term is
+    rendered once per distinct (exponent, coefficient)."""
     lines = []
-    n = res.g.n
+    n, order = res.g.n, res.order
+    memo = {}       # (exponent, coefficient) -> the text of that one-term entry
     for t, cols in enumerate(res.diffs):
         rows = 1 if t == 0 else len(res.bases[t - 1])
         lines.append(f"phi {t} {rows} {len(cols)}")
@@ -402,5 +417,13 @@ def format_resolution(res: FreeResolution):
             for (r, e), a in col.items():
                 by_row.setdefault(r, {})[e] = a
             for r in sorted(by_row):
-                lines.append(f"{r} {c} {format_poly(by_row[r], res.order, n)}")
+                p = by_row[r]
+                if len(p) > 1:
+                    text = format_poly(p, order, n)
+                else:
+                    [term] = p.items()
+                    text = memo.get(term)
+                    if text is None:
+                        text = memo[term] = format_poly(p, order, n)
+                lines.append(f"{r} {c} {text}")
     return "\n".join(lines) + "\n"

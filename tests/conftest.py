@@ -4,8 +4,16 @@ from collections import Counter, deque
 import pytest
 
 from toppling.divisors import PicClass, dhar_burn, fire_set, pic_class
-from toppling.flags import LengthMismatch, enumerate_minimal_flags, flag_divisor
+from toppling.flags import (
+    LengthMismatch,
+    enumerate_minimal_flags,
+    flag_divisor,
+    merge_records,
+    record_sign,
+    record_theta,
+)
 from toppling.graphs import Overlap, bfs_order, build_graph, total_orientations, zero_divisor
+from toppling.poly import add_into
 
 
 def c4():
@@ -131,6 +139,29 @@ def per_flag_pic_table(g):
         table.update((k - 1, pic_class(g, flag_divisor(g, uc)))
                      for uc in enumerate_minimal_flags(g, k))
     return dict(table)
+
+
+def reference_merge_differentials(g, field, bases, variants):
+    """phi_1, phi_2, ... of each variant from the public merge records: each
+    record's row, record_theta and record_sign, added into the column of
+    every variant for a merge inside G(U), and of the binomial one only for
+    a merge inside some o_j(U).  out[i][t-1] is phi_t of variants[i]."""
+    one, minus = field.one, field.neg(field.one)
+    out = [[] for _ in variants]
+    for t in range(1, len(bases)):
+        for diffs in out:
+            diffs.append([])
+        for uc in bases[t]:
+            cols = [{} for _ in variants]
+            for diffs, col in zip(out, cols):
+                diffs[-1].append(col)
+            into = (cols, [col for v, col in zip(variants, cols) if v == "binomial"])
+            for rec in merge_records(g, uc):
+                term = {(rec.row, record_theta(g, uc, rec)):
+                        one if record_sign(rec) > 0 else minus}
+                for col in into[rec.from_reversal]:
+                    add_into(field, col, term)
+    return out
 
 
 def _compositions(total, parts):

@@ -323,17 +323,17 @@ class TestVerify:
         assert "verification failure" in capsys.readouterr().err
 
     def test_composition_failure_exit_code(self, c4_file, capsys, monkeypatch):
-        # one merge record with the wrong sign breaks phi_0 . phi_1 = 0, which
+        # one merge with the wrong sign breaks phi_0 . phi_1 = 0, which
         # build_resolution itself must catch: verify_resolution does not recheck it
-        real = resolution.record_sign
+        real = resolution._merge_terms
 
         def flip_first_sign():
             calls = itertools.count()
 
-            def flipped(rec):
-                sgn = real(rec)
-                return -sgn if next(calls) == 0 else sgn
-            monkeypatch.setattr(resolution, "record_sign", flipped)
+            def flipped(g, uc):
+                for a, b, row, theta, sign, from_reversal in real(g, uc):
+                    yield a, b, row, theta, -sign if next(calls) == 0 else sign, from_reversal
+            monkeypatch.setattr(resolution, "_merge_terms", flipped)
 
         flip_first_sign()
         with pytest.raises(CompositionNonzero):

@@ -669,15 +669,21 @@ class TestMergeSearch:
         real = flags._peel
 
         def spy(parts, succ, rank):
-            peels.append((parts, arcs_of(succ), real(parts, succ, rank)))
-            return peels[-1][2]
+            live = sorted(rank)     # the peel consumes rank
+            peels.append((parts, live, arcs_of(succ), real(parts, succ, rank)))
+            return peels[-1][3]
         monkeypatch.setattr(flags, "_peel", spy)
         records = sum(1 for g in corpus_and_families(graph_corpus) for _ in records_of(g))
         assert len(peels) == records > 1000
-        for parts, arcs, (chain, order) in peels:
+        for parts, live, arcs, (chain, order) in peels:
+            # the fused-away part is dead: out of the rank, with no arc
+            assert len(live) == len(parts) - 1
+            assert all(x in live and y in live for x, y in arcs)
             sets = [frozenset(v for v in range(p.bit_length()) if p >> v & 1) for p in parts]
+            new = {x: i for i, x in enumerate(live)}
             flag = ConnectedFlag(chain)
-            assert flag == peeled_least_flag(sets, arcs)
+            assert flag == peeled_least_flag([sets[x] for x in live],
+                                             {(new[x], new[y]) for x, y in arcs})
             assert flag.parts() == tuple(sets[x] for x in order)
 
     def test_cyclic_peel_raises(self):

@@ -13,6 +13,7 @@ from toppling.oracle import (
     OracleError,
     SchreyerResolution,
     SimplicialComplex,
+    _matrix_rank,
     brute_force_class_count,
     delta_complex,
     division_normal_form,
@@ -349,6 +350,64 @@ class TestDeltaComplex:
         assert reduced_homology_dims(rp2) == {-1: 0, 0: 0, 1: 0, 2: 0}
         assert reduced_homology_dims(rp2, get_field("prime:3")) == {-1: 0, 0: 0, 1: 0, 2: 0}
         assert reduced_homology_dims(rp2, get_field("prime:2")) == {-1: 0, 0: 0, 1: 1, 2: 1}
+
+
+def reference_matrix_rank(mat, field):
+    """The rank by Gauss-Jordan elimination through the field's own add,
+    mul and inv: the generic routine the oracle used on every field."""
+    if not mat or not mat[0]:
+        return 0
+    a = [row[:] for row in mat]
+    rows, cols = len(a), len(a[0])
+    rank = 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if not field.is_zero(a[r][c])), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = field.inv(a[rank][c])
+        for r in range(rows):
+            if r != rank and not field.is_zero(a[r][c]):
+                fac = field.mul(a[r][c], inv)
+                a[r] = [field.sub(x, field.mul(fac, y)) for x, y in zip(a[r], a[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+class TestMatrixRank:
+    @pytest.mark.parametrize("name", ["prime:2", "prime:3", "prime", "rational"])
+    def test_matches_generic_elimination(self, name):
+        # random matrices up to 7 x 7, many of them of low rank (a product
+        # through a thinner middle) and with repeated or zero rows; entries
+        # are residues mod p, or Fractions over Q
+        field = get_field(name)
+        rng = random.Random(f"rank:{name}")
+        if name == "rational":
+            def entry():
+                return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        else:
+            def entry():
+                return rng.randrange(field.p)
+        ranks = set()
+        for _ in range(400):
+            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+            if rng.random() < 0.5:
+                mid = rng.randint(0, 3)
+                left = [[entry() for _ in range(mid)] for _ in range(rows)]
+                right = [[entry() for _ in range(cols)] for _ in range(mid)]
+                mat = [[field.add(field.zero, sum(field.mul(x, y) for x, y in zip(row, col)))
+                        for col in zip(*right)] if mid else [field.zero] * cols
+                       for row in left]
+            else:
+                mat = [[entry() for _ in range(cols)] for _ in range(rows)]
+            if mat and rng.random() < 0.3:
+                mat.append(list(rng.choice(mat)))
+            want = reference_matrix_rank(mat, field)
+            assert _matrix_rank(mat, field) == want
+            ranks.add(want)
+        assert ranks >= set(range(8))
 
 
 class TestHochster:

@@ -5,7 +5,17 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import c4, complete, corpus, cycle, grid_2x3, path, per_flag_pic_table, theta
+from conftest import (
+    c4,
+    complete,
+    corpus,
+    cycle,
+    grid_2x3,
+    path,
+    per_flag_pic_table,
+    reference_merge_differentials,
+    theta,
+)
 from toppling import divisors, resolution
 from toppling.cli import main
 from toppling.fields import get_field
@@ -14,6 +24,7 @@ from toppling.flags import drop_first, enumerate_minimal_flags, flag_divisor
 from toppling.graphs import bfs_term_order, build_graph
 from toppling.poly import add_into, monomial_divides
 from toppling.resolution import (
+    VARIANTS,
     Binomial,
     CompositionNonzero,
     IdentityViolation,
@@ -251,6 +262,54 @@ class TestSharedPass:
             verify_resolution(build_resolution(c4()), build_resolution(complete(4)))
 
 
+@pytest.mark.parametrize("name", ["prime", "rational"])
+def test_columns_match_record_reference(graph_corpus, name):
+    # every corpus graph at every base vertex, C6, K5, K6 and the 2x3 grid:
+    # the columns of both variants equal those summed from the public merge
+    # records, record_theta and record_sign
+    field = get_field(name)
+    graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+    for g in [*graphs, cycle(6), complete(5), complete(6), grid_2x3()]:
+        built = build_resolutions(g, field)
+        want = reference_merge_differentials(g, field, built[0].bases, VARIANTS)
+        assert [res.diffs[1:] for res in built] == want
+
+
+class TestLargeExponents:
+    """A triangle with multiplicities 2^21, 3 and 2^21 + 5: phi_0 has the
+    exponent 2^22 + 5, beyond any packing of exponents in 22-bit fields."""
+
+    @staticmethod
+    def resolution(name):
+        g = build_graph(3, [(0, 1, 1 << 21), (1, 2, 3), (0, 2, (1 << 21) + 5)], 0)
+        return build_resolution(g, field=get_field(name))
+
+    @pytest.mark.parametrize("name", ["prime", "rational"])
+    def test_composition_check_passes(self, name):
+        res = self.resolution(name)
+        assert max(x for col in res.diffs[0] for _, e in col for x in e) > 1 << 22
+
+    @pytest.mark.parametrize("name", ["prime", "rational"])
+    def test_one_term_change_is_seen(self, name):
+        res = self.resolution(name)
+        (r, e), a = next(iter(res.diffs[1][0].items()))
+        v = next(v for v in range(2) if not e[v] and e[v + 1])
+        changes = [((r, e), res.field.neg(a))]      # the sign of the term
+        # x^e with x_{v+1}^m moved to x_v^(m * 2^w), which fields of a fixed
+        # w bits pack as x^e, by sums or by ors: any w up to 64, beyond the
+        # 23 bits that sums of these exponents need
+        for w in range(1, 65):
+            f = list(e)
+            f[v], f[v + 1] = e[v + 1] << w, 0
+            changes.append(((r, tuple(f)), a))
+        for term, coeff in changes:
+            bad = copy.deepcopy(res)
+            del bad.diffs[1][0][r, e]
+            bad.diffs[1][0][term] = coeff
+            with pytest.raises(CompositionNonzero, match=r"^phi_0 \. phi_1 nonzero at column 0,"):
+                _check_composition(bad)
+
+
 class TestBetti:
     def test_c4(self):
         assert sorted(betti_table(c4()).z_graded.items()) == \
@@ -401,6 +460,26 @@ GOLDEN_DIGESTS = {
 def test_format_resolution_golden_digest(family, q, variant):
     text = format_resolution(build_resolution(GOLDEN_FAMILIES[family](q), variant))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[family, q, variant]
+
+
+# SHA-256 of format_resolution over Q, where coefficients are Fractions
+# (the GOLDEN_DIGESTS are over GF(32003)), pinned before format_resolution
+# rendered each distinct single-term entry once
+RATIONAL_DIGESTS = {
+    ("C5", 0, "binomial"): "db01451f4f697ce0b0b2f5971dad083c53acfcdfcb8b66f12f6f5467e869aa79",
+    ("C5", 0, "monomial"): "2913a20b2c5d1fe14416d67c81421a8e5c1afbb494084df0c73dffda7c349f7f",
+    ("K5", 0, "binomial"): "0858aec43c7dfb5d72d28e0644c169823bedaf9a6d54d0f0a2d3eab1317587c0",
+    ("K5", 0, "monomial"): "6d53eb782283a4dec84af77556867a4241e24be48b844f055da76ba1631877b3",
+    ("grid2x3", 0, "binomial"): "b5a367d4a24638c62e549411f83091272f82d379473eb3f1170dbffc6662c4e5",
+    ("grid2x3", 0, "monomial"): "f61163553e89490e6604105fbbee19ce1a4d2130c624c2121bb45666b94936d5",
+}
+
+
+@pytest.mark.parametrize("family, q, variant", sorted(RATIONAL_DIGESTS))
+def test_format_resolution_rational_digest(family, q, variant):
+    res = build_resolution(GOLDEN_FAMILIES[family](q), variant, field=get_field("rational"))
+    text = format_resolution(res)
+    assert hashlib.sha256(text.encode()).hexdigest() == RATIONAL_DIGESTS[family, q, variant]
 
 
 def graph_text(g):
