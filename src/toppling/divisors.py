@@ -225,7 +225,8 @@ def linear_system(g: PointedGraph, d):
     from e keeps it effective.  A set with no edge between two of its parts
     fires as those parts in turn, each firing legal alone.  So a
     breadth-first search from r over firings of connected non-empty proper
-    vertex sets that stay effective finds all of |d|."""
+    vertex sets that stay effective finds all of |d|.  A firing is tried
+    only once e holds every chip it takes, and then stays effective."""
     if divisor_deg(d) < 0:
         return []
     r = q_reduce(g, g.q, d)
@@ -235,24 +236,30 @@ def linear_system(g: PointedGraph, d):
     members = [r]
     seen = {r}
     for e in members:           # members grows as it is walked
-        for move in moves:
-            f = divisor_add(e, move)
-            if min(f) >= 0 and f not in seen:
-                seen.add(f)
-                members.append(f)
+        for move, takes in moves:
+            for v, chips in takes:
+                if e[v] < chips:
+                    break
+            else:
+                f = divisor_add(e, move)
+                if f not in seen:
+                    seen.add(f)
+                    members.append(f)
     return sorted(members)
 
 
 def _moves(g: PointedGraph):
-    """-Delta(chi_S) for every connected non-empty proper vertex mask S, in
-    mask order, cached on g."""
+    """(-Delta(chi_S), the (vertex, chips) pairs that firing S takes) for
+    every connected non-empty proper vertex mask S, in mask order, cached
+    on g."""
     if "moves" not in g._cache:
         moves = []
         for mask in range(1, (1 << g.n) - 1):
             if mask_connected(g, mask):
                 move = [0] * g.n
                 _fire(g, move, mask, 1)
-                moves.append(tuple(move))
+                takes = tuple((v, -x) for v, x in enumerate(move) if x < 0)
+                moves.append((tuple(move), takes))
         g._cache["moves"] = tuple(moves)
     return g._cache["moves"]
 

@@ -24,14 +24,7 @@ from .graphs import (
     mask_connected,
     zero_divisor,
 )
-from .poly import (
-    division_normal_form,
-    lift,
-    module_term_mul,
-    monomial_divides,
-    poly_sub,
-    ring_module_order,
-)
+from .poly import Division, lift, monomial_divides, poly_sub, ring_module_order
 from .resolution import BettiTable, generator_poly
 
 
@@ -50,48 +43,46 @@ def schreyer_step(field, basis, morder):
     """S-pair syzygies of a Groebner basis, pruned by the chain criterion.
 
     Returns (syzygies, pulled-back ModuleOrder).  Raises NotGroebner when an
-    S-pair does not reduce to zero."""
-    leads = [morder.leading_term(b) for b in basis]
-    m = len(basis)
-    pairs = []
-    for f in range(m):
-        for h in range(f + 1, m):
-            if leads[f][0] == leads[h][0]:
-                pairs.append((f, h))
+    S-pair does not reduce to zero.
 
-    def gamma(f, h):
-        return divisor_max(leads[f][1], leads[h][1])
+    A pair (f, h) of one row, f < h, is dropped when a later mid != h of
+    that row has a lead dividing gamma(f, h) and either mid < h or
+    gamma(f, mid) != gamma(f, h).  The S-pair of a kept pair is seeded
+    straight into the division as the non-lead terms of f and h, shifted
+    and scaled, since their leads cancel."""
+    leads = [morder.leading_term(b) for b in basis]
+    rows = {}
+    for pos, (i, _) in enumerate(leads):
+        rows.setdefault(i, []).append(pos)
 
     kept = []
-    for f, h in pairs:
-        drop = False
-        for mid in range(f + 1, m):
-            if mid == h or leads[mid][0] != leads[f][0]:
-                continue
-            if not monomial_divides(leads[mid][1], gamma(f, h)):
-                continue
-            if gamma(f, mid) != gamma(f, h) or mid < h:
-                drop = True
-                break
-        if not drop:
-            kept.append((f, h))
+    for row in rows.values():
+        for a, f in enumerate(row):
+            later, ef = row[a + 1:], leads[f][1]
+            for h in later:
+                gm = divisor_max(ef, leads[h][1])
+                if not any(mid != h and monomial_divides(leads[mid][1], gm)
+                           and (mid < h or divisor_max(ef, leads[mid][1]) != gm)
+                           for mid in later):
+                    kept.append((f, h, gm))
+    kept.sort()
 
     new_order = morder.pulled_back(leads)
+    if not kept:
+        return [], new_order
+    bound = morder.bound((leads[f][0], gm) for f, _, gm in kept)
+    division = Division(field, basis, morder, leads, bound)
     syzygies = []
-    for f, h in kept:
-        gm = gamma(f, h)
+    for f, h, gm in kept:
         sf = divisor_sub(gm, leads[f][1])
         sh = divisor_sub(gm, leads[h][1])
         cf = field.inv(basis[f][leads[f]])
         ch = field.inv(basis[h][leads[h]])
-        spair = poly_sub(field, module_term_mul(field, basis[f], sf, cf),
-                         module_term_mul(field, basis[h], sh, ch))
-        quotients, rem = division_normal_form(field, spair, basis, morder, leads)
+        quotients, rem = division.reduce(
+            [(division.tails[f], sf, cf), (division.tails[h], sh, field.neg(ch))])
         if rem:
             raise NotGroebner(f"S-pair ({f},{h}) has remainder")
-        syz = poly_sub(field, {(f, sf): cf, (h, sh): field.neg(ch)},
-                       {(g_pos, e): c for g_pos, quot in enumerate(quotients)
-                        for e, c in quot.items()})
+        syz = poly_sub(field, {(f, sf): cf, (h, sh): field.neg(ch)}, quotients)
         lead = new_order.leading_term(syz)
         if lead != (f, sf):
             raise OracleError(f"syzygy of S-pair ({f},{h}) leads with {lead},"

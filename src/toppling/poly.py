@@ -11,6 +11,9 @@ coefficient field explicitly; nothing here owns state.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from operator import le, mul
+
 from .graphs import divisor_add, divisor_sub, zero_divisor
 
 
@@ -49,12 +52,6 @@ def poly_term_mul(field, p, exps, scalar):
     return {divisor_add(e, exps): field.mul(c, scalar) for e, c in p.items()}
 
 
-def module_term_mul(field, elem, exps, scalar):
-    """Multiply a free-module element by scalar * x^exps."""
-    return {(i, divisor_add(e, exps)): field.mul(c, scalar)
-            for (i, e), c in elem.items()}
-
-
 def poly_mul(field, p1, p2):
     out = {}
     for e1, c1 in p1.items():
@@ -73,7 +70,7 @@ def leading_monomial(p, order):
 
 
 def monomial_divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +78,51 @@ def monomial_divides(e1, e2):
 
 class ModuleOrder:
     """Term order on a free module: per-index monomial shift plus a position
-    chain used as tie-break (earlier positions win ties)."""
+    chain used as tie-break (earlier positions win ties).
+
+    A term (i, e) is ranked by one int, lower for the greater term.  Its
+    digits in base w, most significant first, are -deg(e + shifts[i]), the
+    entries of e + shifts[i] in priority order, then chains[i]; each digit
+    below the top one lies in [0, w).  So the rank is linear in e, and the
+    rank of x^s times a term is the term's rank plus sum coef[v] * s[v]:
+    no tuple is built to compare two terms."""
 
     def __init__(self, order, shifts, chains):
         self.order = order
         self.shifts = shifts
         self.chains = chains
-        self._ties = [tuple(-p for p in chain) for chain in chains]
+        self._degrees = [sum(s) for s in shifts]
+        self._top_chain = max(map(max, chains), default=0)
+        self._ranks = {}            # w -> (coef, base)
 
-    def key(self, term):
-        idx, e = term
-        return self.order.monomial_key(divisor_add(e, self.shifts[idx])), self._ties[idx]
+    def ranks(self, bound):
+        """(coef, base) with rank(i, e) = base[i] + sum coef[v] * e[v]: a
+        rank of the order for every term whose shifted exponent has degree
+        at most bound.  The field width w is the least power of two above
+        bound and every chain entry."""
+        w = 1 << max(bound, self._top_chain).bit_length()
+        if w not in self._ranks:
+            n, tail = len(self.order.priority), len(self.chains[0])
+            top = w ** (n + tail)
+            coef = [0] * n
+            for j, v in enumerate(self.order.priority):
+                coef[v] = w ** (n + tail - 1 - j) - top
+            base = []
+            for shift, chain in zip(self.shifts, self.chains):
+                tie = 0
+                for p in chain:
+                    tie = tie * w + p
+                base.append(sum(map(mul, coef, shift)) + tie)
+            self._ranks[w] = coef, base
+        return self._ranks[w]
+
+    def bound(self, elem):
+        """The largest degree of a shifted exponent in elem."""
+        return max((sum(e) + self._degrees[i] for i, e in elem), default=0)
 
     def leading_term(self, elem):
-        return max(elem, key=self.key)
+        coef, base = self.ranks(self.bound(elem))
+        return min(elem, key=lambda term: base[term[0]] + sum(map(mul, coef, term[1])))
 
     def pulled_back(self, leads):
         """Schreyer's order on the free module whose basis element p maps to
@@ -110,31 +138,90 @@ def ring_module_order(order):
     return ModuleOrder(order, [zero_divisor(len(order.priority))], [(0,)])
 
 
-def division_normal_form(field, elem, basis, morder, leads):
-    """Standard representation elem = sum quotient_g * g + remainder, where
-    leads[i] is the lead term of basis[i] under morder.
+class Division:
+    """A basis prepared once for division in `morder`, for elements whose
+    shifted exponents have degree at most `bound`: each row's leads in
+    basis order with their ranks and inverse coefficients, and each basis
+    element's other terms as (rank, row, exponent, coefficient)."""
 
-    The lowest-index basis element whose lead divides the working lead is
-    always chosen, so the output is deterministic.  The working lead falls
-    strictly at every step, so no quotient receives one shift twice."""
+    def __init__(self, field, basis, morder, leads, bound):
+        self.field = field
+        self.coef, self.base = morder.ranks(bound)
+        self.rows = {}              # row -> [(position, exponent, rank, 1/coeff)]
+        self.tails = []
+        for pos, (elem, lead) in enumerate(zip(basis, leads)):
+            self.rows.setdefault(lead[0], []).append(
+                (pos, lead[1], self.rank(lead), field.inv(elem[lead])))
+            self.tails.append([(self.rank(term), *term, c)
+                               for term, c in elem.items() if term != lead])
+
+    def rank(self, term):
+        i, e = term
+        return self.base[i] + sum(map(mul, self.coef, e))
+
+    def reduce(self, seeds):
+        """Divide sum c * x^s * terms over the seeds (terms, s, c), where
+        terms are ranked as `tails` and s = None stands for x^0.  Returns
+        (quotients, remainder): quotients sparse as {(basis position,
+        shift): coeff}.
+
+        The working element is a dict from rank to [coeff, row, exponent,
+        shift], whose exponent is summed only when its term leads, over a
+        heap of ranks.  A term that cancels stays in the dict at zero until
+        the heap reaches it, so every rank is pushed once.  The lowest-index
+        lead of the row that divides the working lead is always chosen.
+        The working lead falls strictly at every step, so no quotient
+        receives one shift twice and no popped rank comes back."""
+        field = self.field
+        mul_, add_, is_zero = field.mul, field.add, field.is_zero
+        work, heap = {}, []
+
+        def add_terms(terms, offset, shift, scalar):
+            for r, i, e, c in terms:
+                r += offset
+                entry = work.get(r)
+                if entry is None:
+                    work[r] = [mul_(scalar, c), i, e, shift]
+                    heappush(heap, r)
+                else:
+                    entry[0] = add_(entry[0], mul_(scalar, c))
+
+        for terms, shift, scalar in seeds:
+            offset = 0 if shift is None else sum(map(mul, self.coef, shift))
+            add_terms(terms, offset, shift, scalar)
+        quotients, remainder = {}, {}
+        while heap:
+            r = heappop(heap)
+            c, i, e, s = work.pop(r)
+            if is_zero(c):
+                continue
+            if s is not None:
+                e = divisor_add(e, s)
+            for pos, be, lead_rank, inv in self.rows.get(i, ()):
+                if monomial_divides(be, e):
+                    shift = divisor_sub(e, be)
+                    factor = mul_(c, inv)
+                    quotients[(pos, shift)] = factor
+                    add_terms(self.tails[pos], r - lead_rank, shift, field.neg(factor))
+                    break
+            else:
+                remainder[(i, e)] = c
+        return quotients, remainder
+
+
+def division_normal_form(field, elem, basis, morder, leads, division=None):
+    """Standard representation elem = sum quotient_g * g + remainder, where
+    leads[i] is the lead term of basis[i] under morder: quotients as one
+    {shift: coeff} per basis element.  `division` is the basis prepared by
+    `Division` for a bound of at least morder.bound(elem), for a caller that
+    divides many elements by one basis; it is built here when absent."""
+    if division is None:
+        division = Division(field, basis, morder, leads, morder.bound(elem))
+    terms = [(division.rank(term), *term, c) for term, c in elem.items()]
+    sparse, remainder = division.reduce([(terms, None, field.one)])
     quotients = [{} for _ in basis]
-    remainder = {}
-    work = dict(elem)
-    while work:
-        lt = morder.leading_term(work)
-        lc = work[lt]
-        idx, e = lt
-        for b_pos, (bidx, be) in enumerate(leads):
-            if bidx == idx and monomial_divides(be, e):
-                shift = divisor_sub(e, be)
-                factor = field.mul(lc, field.inv(basis[b_pos][leads[b_pos]]))
-                quotients[b_pos][shift] = factor
-                add_into(field, work, module_term_mul(field, basis[b_pos], shift,
-                                                      field.neg(factor)))
-                break
-        else:
-            remainder[lt] = lc
-            del work[lt]
+    for (pos, shift), c in sparse.items():
+        quotients[pos][shift] = c
     return quotients, remainder
 
 

@@ -22,6 +22,7 @@ from .graphs import (
     zero_divisor,
 )
 from .poly import (
+    Division,
     add_into,
     division_normal_form,
     format_poly,
@@ -100,14 +101,18 @@ def buchberger_check(gens, order, field=None) -> bool:
     if field is None:
         field = PrimeField()
     polys = [generator_poly(field, p) for p in gens]
-    # divide in R as a rank-one free module, with the basis lifted once
+    # divide in R as a rank-one free module, with the basis lifted and
+    # prepared once; the order is graded, so an S-polynomial's degree is at
+    # most twice the largest lead degree
     morder = ring_module_order(order)
     basis = [lift(p) for p in polys]
     leads = [morder.leading_term(b) for b in basis]
+    bound = 2 * max((sum(e) for _, e in leads), default=0)
+    division = Division(field, basis, morder, leads, bound)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             s = spolynomial(field, polys[i], polys[j], order)
-            _, rem = division_normal_form(field, lift(s), basis, morder, leads)
+            _, rem = division_normal_form(field, lift(s), basis, morder, leads, division)
             if rem:
                 return False
     return True

@@ -3,7 +3,7 @@ from collections import Counter, deque
 
 import pytest
 
-from toppling.divisors import PicClass, dhar_burn, fire_set, pic_class
+from toppling.divisors import PicClass, dhar_burn, fire_set, pic_class, q_reduce
 from toppling.flags import (
     LengthMismatch,
     enumerate_minimal_flags,
@@ -12,8 +12,20 @@ from toppling.flags import (
     record_sign,
     record_theta,
 )
-from toppling.graphs import Overlap, bfs_order, build_graph, total_orientations, zero_divisor
-from toppling.poly import add_into
+from toppling.graphs import (
+    Overlap,
+    bfs_order,
+    bfs_term_order,
+    build_graph,
+    divisor_add,
+    divisor_max,
+    divisor_sub,
+    total_orientations,
+    zero_divisor,
+)
+from toppling.oracle import NotGroebner, OracleError, SchreyerResolution
+from toppling.poly import add_into, lift, monomial_divides, poly_sub, ring_module_order
+from toppling.resolution import generator_poly
 
 
 def c4():
@@ -40,6 +52,11 @@ def theta(m):
 
 def grid_2x3(q=0):
     return build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)], q)
+
+
+def wide_triangle(q=0):
+    # edge multiplicities 2^21, 3 and 2^21 + 5: exponents above 2^21
+    return build_graph(3, [(0, 1, 2**21), (1, 2, 3), (0, 2, 2**21 + 5)], q)
 
 
 def reference_boundary_divisor(g, a, b):
@@ -208,3 +225,131 @@ def corpus(count=25, seed=20260823):
 @pytest.fixture(scope="session")
 def graph_corpus():
     return corpus()
+
+
+def reference_linear_system(g, d):
+    """|d| by the breadth-first search over connected set-firings, each move
+    added to every member and kept when the sum is effective."""
+    if sum(d) < 0:
+        return []
+    r = q_reduce(g, g.q, d)
+    if r[g.q] < 0:
+        return []
+    subsets = ([v for v in range(g.n) if mask >> v & 1] for mask in range(1, (1 << g.n) - 1))
+    moves = [fire_set(g, zero_divisor(g.n), s) for s in subsets if bfs_connected(g, s)]
+    members, seen = [r], {r}
+    for e in members:
+        for move in moves:
+            f = divisor_add(e, move)
+            if min(f) >= 0 and f not in seen:
+                seen.add(f)
+                members.append(f)
+    return sorted(members)
+
+
+# ---------------------------------------------------------------------------
+# the Schreyer oracle with the order compared as tuples and division by a
+# scan of the whole working element and of every basis lead
+
+def reference_module_key(morder, term):
+    """The Schreyer order as a tuple key: degrevlex on the shifted exponent,
+    then the chain negated, so earlier positions win ties."""
+    idx, e = term
+    return (morder.order.monomial_key(divisor_add(e, morder.shifts[idx])),
+            tuple(-p for p in morder.chains[idx]))
+
+
+def reference_leading_term(morder, elem):
+    return max(elem, key=lambda term: reference_module_key(morder, term))
+
+
+def module_term_mul(field, elem, exps, scalar):
+    """Multiply a free-module element by scalar * x^exps."""
+    return {(i, divisor_add(e, exps)): field.mul(c, scalar)
+            for (i, e), c in elem.items()}
+
+
+def reference_division_normal_form(field, elem, basis, morder, leads):
+    """elem = sum quotient_g * g + remainder, each step taking the largest
+    term of the working element and the lowest-index basis lead dividing it."""
+    quotients = [{} for _ in basis]
+    remainder = {}
+    work = dict(elem)
+    while work:
+        lt = reference_leading_term(morder, work)
+        lc = work[lt]
+        idx, e = lt
+        for b_pos, (bidx, be) in enumerate(leads):
+            if bidx == idx and monomial_divides(be, e):
+                shift = divisor_sub(e, be)
+                factor = field.mul(lc, field.inv(basis[b_pos][leads[b_pos]]))
+                quotients[b_pos][shift] = factor
+                add_into(field, work, module_term_mul(field, basis[b_pos], shift,
+                                                      field.neg(factor)))
+                break
+        else:
+            remainder[lt] = lc
+            del work[lt]
+    return quotients, remainder
+
+
+def reference_schreyer_step(field, basis, morder):
+    """S-pair syzygies pruned by the chain criterion, over all pairs."""
+    leads = [reference_leading_term(morder, b) for b in basis]
+    m = len(basis)
+    pairs = [(f, h) for f in range(m) for h in range(f + 1, m)
+             if leads[f][0] == leads[h][0]]
+
+    def gamma(f, h):
+        return divisor_max(leads[f][1], leads[h][1])
+
+    kept = []
+    for f, h in pairs:
+        drop = False
+        for mid in range(f + 1, m):
+            if mid == h or leads[mid][0] != leads[f][0]:
+                continue
+            if not monomial_divides(leads[mid][1], gamma(f, h)):
+                continue
+            if gamma(f, mid) != gamma(f, h) or mid < h:
+                drop = True
+                break
+        if not drop:
+            kept.append((f, h))
+
+    new_order = morder.pulled_back(leads)
+    syzygies = []
+    for f, h in kept:
+        gm = gamma(f, h)
+        sf = divisor_sub(gm, leads[f][1])
+        sh = divisor_sub(gm, leads[h][1])
+        cf = field.inv(basis[f][leads[f]])
+        ch = field.inv(basis[h][leads[h]])
+        spair = poly_sub(field, module_term_mul(field, basis[f], sf, cf),
+                         module_term_mul(field, basis[h], sh, ch))
+        quotients, rem = reference_division_normal_form(field, spair, basis, morder, leads)
+        if rem:
+            raise NotGroebner(f"S-pair ({f},{h}) has remainder")
+        syz = poly_sub(field, {(f, sf): cf, (h, sh): field.neg(ch)},
+                       {(g_pos, e): c for g_pos, quot in enumerate(quotients)
+                        for e, c in quot.items()})
+        if reference_leading_term(new_order, syz) != (f, sf):
+            raise OracleError(f"syzygy of S-pair ({f},{h}) does not lead with {(f, sf)}")
+        syzygies.append(syz)
+    return syzygies, new_order
+
+
+def reference_schreyer_resolution(g, gens, field):
+    """schreyer_resolution's loop over reference_schreyer_step."""
+    basis = [lift(generator_poly(field, p)) for p in gens]
+    morder = ring_module_order(bfs_term_order(g))
+    diffs = [basis]
+    picrep = [[q_reduce(g, g.q, reference_leading_term(morder, b)[1]) for b in basis]]
+    while basis and len(diffs) <= g.n + 1:
+        basis, morder = reference_schreyer_step(field, basis, morder)
+        if not basis:
+            break
+        picrep.append([q_reduce(g, g.q, divisor_add(e, picrep[-1][r]))
+                       for r, e in (reference_leading_term(morder, b) for b in basis)])
+        diffs.append(basis)
+    return SchreyerResolution(g, field, diffs, picrep)

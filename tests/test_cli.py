@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import complete, cycle, reference_linear_system
 from toppling import cli, flags, oracle, resolution
 from toppling.cli import (
     ParseError,
@@ -21,9 +23,9 @@ from toppling.cli import (
     parse_graph_file,
 )
 from toppling.flags import MissingQ, NotIncreasing
-from toppling.graphs import TermOrder, bfs_order
+from toppling.graphs import TermOrder, bfs_order, build_graph
 from toppling.poly import add_into, poly_add
-from toppling.resolution import CompositionNonzero, IdentityViolation
+from toppling.resolution import CompositionNonzero, IdentityViolation, betti_table
 
 C4_TEXT = """\
 # 4-cycle with edges 1-2, 1-3, 2-4, 3-4
@@ -214,6 +216,33 @@ class TestVerbs:
         assert main(["betti", "--graph", c4_file, "--q", "9"]) == 1
 
 
+def graph_text(g):
+    """g in the text format: every edge with its multiplicity, and q."""
+    edges = [f"e {u + 1} {v + 1} {g.mult[u][v]}\n"
+             for u in range(g.n) for v in range(u + 1, g.n) if g.mult[u][v]]
+    return f"v {g.n}\nq {g.q + 1}\n" + "".join(edges)
+
+
+class TestLinsysAgainstReference:
+    def test_byte_identical(self, graph_corpus, tmp_path, capsys):
+        # seeded divisors on the corpus at every base vertex, and the
+        # top-row classes of K5 and C6
+        rng = random.Random(15)
+        cases = []
+        for n, edges in graph_corpus:
+            for q in range(n):
+                g = build_graph(n, edges, q)
+                cases += [(g, tuple(rng.randint(-2, 4) for _ in range(n))) for _ in range(2)]
+        for g in (complete(5), cycle(6)):
+            cases += [(g, cls.rep) for i, cls in betti_table(g).pic_graded if i == g.n - 1]
+        path = tmp_path / "g.txt"
+        for g, d in cases:
+            path.write_text(graph_text(g))
+            assert main(["linsys", "--graph", str(path), "--divisor", format_divisor(d)]) == 0
+            want = "".join(format_divisor(e) + "\n" for e in reference_linear_system(g, d))
+            assert capsys.readouterr().out == (want or "\n")
+
+
 class TestVerify:
     def test_all_oracles(self, c4_file, capsys):
         assert main(["verify", "--graph", c4_file]) == 0
@@ -272,13 +301,13 @@ class TestVerify:
 
     def test_schreyer_lead_failure_exit_code(self, c4_file, capsys, monkeypatch):
         # a quotient term above the S-pair's lead breaks the Schreyer lead check
-        real = oracle.division_normal_form
+        real = oracle.Division.reduce
 
-        def skewed(field, elem, basis, morder, leads):
-            quotients, rem = real(field, elem, basis, morder, leads)
-            quotients[0] = poly_add(field, quotients[0], {(9, 9, 9, 9): field.one})
-            return quotients, rem
-        monkeypatch.setattr(oracle, "division_normal_form", skewed)
+        def skewed(division, seeds):
+            quotients, rem = real(division, seeds)
+            skew = {(0, (9, 9, 9, 9)): division.field.one}
+            return poly_add(division.field, quotients, skew), rem
+        monkeypatch.setattr(oracle.Division, "reduce", skewed)
         assert main(["verify", "--graph", c4_file, "--oracle", "schreyer"]) == 2
         assert "leads with" in capsys.readouterr().err
 

@@ -9,10 +9,12 @@ from conftest import (
     cycle,
     grid_2x3,
     path,
+    reference_linear_system,
     reference_q_reduce,
     scanned_linear_system,
     scanned_unique_source,
     theta,
+    wide_triangle,
 )
 from toppling import divisors
 from toppling.divisors import (
@@ -34,6 +36,7 @@ from toppling.divisors import (
 )
 from toppling.flags import enumerate_minimal_flags, flag_divisor
 from toppling.graphs import BadVertex, build_graph
+from toppling.resolution import betti_table
 
 
 class TestLaplacian:
@@ -206,6 +209,26 @@ class TestAgainstReferences:
                 negative += sum(d) < 0
                 not_effective += sum(d) >= 0 and not got
         assert negative and not_effective
+
+    def test_linear_system_matches_bfs_reference(self, graph_corpus):
+        # firings pre-checked against the chips they take, against the
+        # search that adds every move and keeps the effective sums
+        rng = random.Random(14)
+        graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+        for g in graphs:
+            for _ in range(3):
+                d = tuple(rng.randint(-2, 4) for _ in range(g.n))
+                while sum(d) > 10:
+                    d = tuple(rng.randint(-2, 4) for _ in range(g.n))
+                assert linear_system(g, d) == reference_linear_system(g, d)
+        sizes = []
+        for g in (complete(5), cycle(6), wide_triangle()):
+            for i, cls in betti_table(g).pic_graded:
+                if i == g.n - 1:
+                    got = linear_system(g, cls.rep)
+                    assert got == reference_linear_system(g, cls.rep)
+                    sizes.append(len(got))
+        assert max(sizes) > 1
 
     def test_degree_zero_not_effective(self):
         assert linear_system(c4(), (-1, 1, 0, 0)) == []

@@ -12,7 +12,10 @@ graph's cache is named where the cache is declared."""
 import ast
 import importlib.util
 import inspect
+import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -85,6 +88,42 @@ def test_tracer_names_resolve():
     assert missing == []
     unders = {under for _, _, under, _ in tracing.COUNTERS.values()} - {None}
     assert unders <= set(tracing.NAME_ID)
+
+
+TRACED_ROUND = """
+import importlib.util, json, sys
+src, bench, graph_file = sys.argv[1:]
+sys.path[:0] = [src, bench]
+spec = importlib.util.spec_from_file_location("bench_round", bench + "/round.py")
+bench_round = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_round)
+import toppling, toppling.cli, tracing
+tracer = tracing.Tracer()
+tracer.install([toppling] + [getattr(toppling, m) for m in bench_round.MODULES])
+cycle5 = toppling.build_graph(5, [(i, (i + 1) % 5) for i in range(5)], 0)
+k4 = toppling.build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)], 0)
+toppling.betti_table(cycle5)
+toppling.format_resolution(toppling.build_resolution(k4))
+code = toppling.cli.main(["verify", "--graph", graph_file])
+print(json.dumps([code, sorted(tracer.layer_metrics())]))
+"""
+
+
+def test_traced_round_emits_every_metric(tmp_path):
+    # bench/run.py keeps a per-layer metric only if every traced round has
+    # it, so a round of betti_table, the resolution text and verify, traced
+    # as bench/round.py traces one, must yield every metric BENCHMARK.json
+    # names
+    root = SRC.parent.parent
+    graph_file = tmp_path / "c4.txt"
+    graph_file.write_text("v 4\nq 1\ne 1 2\ne 1 3\ne 2 4\ne 3 4\n")
+    run = subprocess.run([sys.executable, "-c", TRACED_ROUND, str(SRC.parent),
+                          str(root / "bench"), str(graph_file)],
+                         capture_output=True, text=True, check=True, timeout=120)
+    code, names = json.loads(run.stdout.splitlines()[-1])
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert code == 0
+    assert sorted({m["name"] for m in declared} - set(names)) == []
 
 
 def _is_cache(node):

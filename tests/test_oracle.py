@@ -1,10 +1,22 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import c4, complete, corpus, cycle, path, theta
+from conftest import (
+    c4,
+    complete,
+    corpus,
+    cycle,
+    grid_2x3,
+    path,
+    reference_leading_term,
+    reference_schreyer_resolution,
+    theta,
+    wide_triangle,
+)
 from toppling.divisors import linearly_equivalent
 from toppling.fields import get_field
 from toppling.graphs import bfs_term_order, build_graph
@@ -16,15 +28,13 @@ from toppling.oracle import (
     _matrix_rank,
     brute_force_class_count,
     delta_complex,
-    division_normal_form,
     hochster_betti,
     minimalize,
     reduced_homology_dims,
-    ring_module_order,
     schreyer_resolution,
     schreyer_step,
 )
-from toppling.poly import lift
+from toppling.poly import division_normal_form, lift, ring_module_order
 from toppling.resolution import (
     CompositionNonzero,
     _check_composition,
@@ -216,6 +226,49 @@ class TestSchreyerResolution:
             g, [b.poly(F) for b in groebner_basis(g)], field=F))
         assert bt_q.z_graded == bt_p.z_graded
         assert bt_q.pic_graded == bt_p.pic_graded
+
+
+def reference_graphs():
+    """Every corpus graph, C6, K5 and the 2x3 grid, at every base vertex."""
+    graphs = [(f"corpus{i}", build_graph(n, list(edges), 0))
+              for i, (n, edges) in enumerate(corpus())]
+    graphs += [("c6", cycle(6)), ("k5", complete(5)), ("grid2x3", grid_2x3())]
+    return [pytest.param(replace(g, q=q), id=f"{name}-q{q}")
+            for name, g in graphs for q in range(g.n)]
+
+
+class TestAgainstReference:
+    """The heap division over once-ranked terms and the per-row chain
+    criterion against the tuple-keyed division that scans every term and
+    every lead (tests/conftest.py)."""
+
+    @pytest.mark.parametrize("g", reference_graphs())
+    def test_same_resolution(self, g):
+        gens = groebner_basis(g)
+        for field in (F, get_field("rational")):
+            got = schreyer_resolution(g, gens, field=field)
+            want = reference_schreyer_resolution(g, gens, field)
+            assert got.diffs == want.diffs
+            assert got.picrep == want.picrep
+            assert minimalize(got).pic_graded == minimalize(want).pic_graded
+
+    @pytest.mark.parametrize("q", range(3))
+    def test_exponents_above_two_to_the_21(self, q):
+        # a rank field of fixed width would carry into the next field here
+        g = wide_triangle(q)
+        gens = groebner_basis(g)
+        assert max(max(b.lead + b.trail) for b in gens) > 2**21
+        morder = ring_module_order(bfs_term_order(g))
+        terms = [(0, e) for e in itertools.permutations((0, 1, 2**22 + 1))]
+        for pair in itertools.combinations(terms, 2):
+            elem = dict.fromkeys(pair, F.one)
+            assert morder.leading_term(elem) == reference_leading_term(morder, elem)
+        for field in (F, get_field("rational")):
+            got = schreyer_resolution(g, gens, field=field)
+            want = reference_schreyer_resolution(g, gens, field)
+            assert got.diffs == want.diffs
+            assert got.picrep == want.picrep
+            assert minimalize(got).pic_graded == betti_table(g).pic_graded
 
 
 def composition_graphs():
