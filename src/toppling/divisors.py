@@ -174,6 +174,8 @@ def _reduce_effective(g: PointedGraph, q, d):
 
 
 def linearly_equivalent(g: PointedGraph, d1, d2) -> bool:
+    _check_length(g, d1)
+    _check_length(g, d2)
     if divisor_deg(d1) != divisor_deg(d2):
         return False
     return q_reduce(g, g.q, d1) == q_reduce(g, g.q, d2)
@@ -227,6 +229,7 @@ def linear_system(g: PointedGraph, d):
     breadth-first search from r over firings of connected non-empty proper
     vertex sets that stay effective finds all of |d|.  A firing is tried
     only once e holds every chip it takes, and then stays effective."""
+    _check_length(g, d)
     if divisor_deg(d) < 0:
         return []
     r = q_reduce(g, g.q, d)

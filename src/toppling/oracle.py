@@ -12,19 +12,18 @@ from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
-from .divisors import PicClass, _bareiss, linear_system, q_reduce
+from .divisors import PicClass, _bareiss, _reduce_effective, linear_system
 from .fields import PrimeField, RationalField
 from .flags import ConnectedFlag, flag_orientation
 from .graphs import (
     PointedGraph,
     bfs_term_order,
-    divisor_add,
     divisor_max,
     divisor_sub,
     mask_connected,
     zero_divisor,
 )
-from .poly import Division, lift, monomial_divides, poly_sub, ring_module_order
+from .poly import Division, lift, monomial_divides, ring_module_order
 from .resolution import BettiTable, generator_poly
 
 
@@ -47,9 +46,9 @@ def schreyer_step(field, basis, morder):
 
     A pair (f, h) of one row, f < h, is dropped when a later mid != h of
     that row has a lead dividing gamma(f, h) and either mid < h or
-    gamma(f, mid) != gamma(f, h).  The S-pair of a kept pair is seeded
-    straight into the division as the non-lead terms of f and h, shifted
-    and scaled, since their leads cancel."""
+    gamma(f, mid) != gamma(f, h).  Each kept pair is divided by
+    `Division.spair`.  The pulled-back order's shifts are the multidegrees
+    of the basis elements."""
     leads = [morder.leading_term(b) for b in basis]
     rows = {}
     for pos, (i, _) in enumerate(leads):
@@ -74,15 +73,10 @@ def schreyer_step(field, basis, morder):
     division = Division(field, basis, morder, leads, bound)
     syzygies = []
     for f, h, gm in kept:
-        sf = divisor_sub(gm, leads[f][1])
-        sh = divisor_sub(gm, leads[h][1])
-        cf = field.inv(basis[f][leads[f]])
-        ch = field.inv(basis[h][leads[h]])
-        quotients, rem = division.reduce(
-            [(division.tails[f], sf, cf), (division.tails[h], sh, field.neg(ch))])
+        syz, rem = division.spair(f, h, gm)
         if rem:
             raise NotGroebner(f"S-pair ({f},{h}) has remainder")
-        syz = poly_sub(field, {(f, sf): cf, (h, sh): field.neg(ch)}, quotients)
+        sf = divisor_sub(gm, leads[f][1])
         lead = new_order.leading_term(syz)
         if lead != (f, sf):
             raise OracleError(f"syzygy of S-pair ({f},{h}) leads with {lead},"
@@ -107,27 +101,23 @@ def schreyer_resolution(g: PointedGraph, gens, field=None) -> SchreyerResolution
     """Iterate schreyer_step from the given Groebner basis until the syzygy
     module vanishes, in the Schreyer orders pulled back from g's BFS term
     order.  The basis list order at each level is the generation order, which
-    pulls back the caller's ordering of `gens`."""
+    pulls back the caller's ordering of `gens`.  Each level's picrep is read
+    off the shifts of the order its step pulls back: the basis elements'
+    multidegrees, effective, so stage 2 of q_reduce alone reduces them."""
     if field is None:
         field = PrimeField()
-    q, n = g.q, g.n
     basis = [lift(generator_poly(field, p)) for p in gens]
     morder = ring_module_order(bfs_term_order(g))
 
-    diffs = [basis]
-    picrep = [[q_reduce(g, q, morder.leading_term(b)[1]) for b in basis]]
-
-    level = 0
-    while basis and level < n + 1:
+    diffs, picrep = [basis], []
+    while basis:
         syzygies, morder = schreyer_step(field, basis, morder)
-        if not syzygies:
+        picrep.append([_reduce_effective(g, g.q, list(s)) for s in morder.shifts])
+        if not syzygies or len(diffs) > g.n:
             break
-        leads = [morder.leading_term(syz) for syz in syzygies]
         diffs.append(syzygies)
-        picrep.append([q_reduce(g, q, divisor_add(e, picrep[level][r])) for r, e in leads])
         basis = syzygies
-        level += 1
-    return SchreyerResolution(g, field, diffs, picrep)
+    return SchreyerResolution(g, field, diffs, picrep or [[]])   # no step on no basis
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +184,8 @@ def reduced_homology_dims(c: SimplicialComplex, field=None):
 
     Faces are vertex masks, the submasks of each facet's mask.  Dropping
     vertex v from a face f has sign (-1)^(number of vertices of f below v).
-    The boundary matrices hold the integers +-1, ranked by Bareiss
-    elimination over the rationals and by `_matrix_rank` over a prime
-    field."""
+    The boundary matrices hold the integers +-1, ranked by `_matrix_rank`
+    over either field."""
     if field is None:
         field = RationalField()
     if not c.facets:
@@ -225,8 +214,6 @@ def reduced_homology_dims(c: SimplicialComplex, field=None):
                 low = rest & -rest
                 mat[below[f ^ low]][ci] = -1 if (f & (low - 1)).bit_count() & 1 else 1
                 rest ^= low
-        if isinstance(field, RationalField):
-            return _bareiss(mat)[0]     # already integers
         return _matrix_rank(mat, field)
 
     ranks = {d: boundary_rank(d) for d in range(0, top + 1)}

@@ -45,13 +45,6 @@ def lift(p):
     return {(0, e): c for e, c in p.items()}
 
 
-def poly_term_mul(field, p, exps, scalar):
-    """Multiply by scalar * x^exps."""
-    if field.is_zero(scalar):
-        return {}
-    return {divisor_add(e, exps): field.mul(c, scalar) for e, c in p.items()}
-
-
 def poly_mul(field, p1, p2):
     out = {}
     for e1, c1 in p1.items():
@@ -63,10 +56,6 @@ def poly_mul(field, p1, p2):
             else:
                 out[e] = s
     return out
-
-
-def leading_monomial(p, order):
-    return max(p, key=order.monomial_key)
 
 
 def monomial_divides(e1, e2):
@@ -147,11 +136,12 @@ class Division:
     def __init__(self, field, basis, morder, leads, bound):
         self.field = field
         self.coef, self.base = morder.ranks(bound)
+        self.leads = leads
+        self.invs = [field.inv(elem[lead]) for elem, lead in zip(basis, leads)]
         self.rows = {}              # row -> [(position, exponent, rank, 1/coeff)]
         self.tails = []
-        for pos, (elem, lead) in enumerate(zip(basis, leads)):
-            self.rows.setdefault(lead[0], []).append(
-                (pos, lead[1], self.rank(lead), field.inv(elem[lead])))
+        for pos, (elem, lead, inv) in enumerate(zip(basis, leads, self.invs)):
+            self.rows.setdefault(lead[0], []).append((pos, lead[1], self.rank(lead), inv))
             self.tails.append([(self.rank(term), *term, c)
                                for term, c in elem.items() if term != lead])
 
@@ -208,15 +198,25 @@ class Division:
                 remainder[(i, e)] = c
         return quotients, remainder
 
+    def spair(self, f, h, gamma):
+        """Divide the S-pair of basis positions f and h, whose leads lie in
+        one row and divide x^gamma, seeded as the non-lead terms of each,
+        shifted to gamma and scaled by the inverse lead coefficients, since
+        the leads cancel.  Returns (syzygy, remainder): the S-pair's two
+        terms less its quotients, as {(position, shift): coeff}, is a
+        syzygy of the basis when the remainder is zero."""
+        sf = divisor_sub(gamma, self.leads[f][1])
+        sh = divisor_sub(gamma, self.leads[h][1])
+        cf, ch = self.invs[f], self.field.neg(self.invs[h])
+        quotients, remainder = self.reduce([(self.tails[f], sf, cf), (self.tails[h], sh, ch)])
+        return poly_sub(self.field, {(f, sf): cf, (h, sh): ch}, quotients), remainder
 
-def division_normal_form(field, elem, basis, morder, leads, division=None):
+
+def division_normal_form(field, elem, basis, morder, leads):
     """Standard representation elem = sum quotient_g * g + remainder, where
     leads[i] is the lead term of basis[i] under morder: quotients as one
-    {shift: coeff} per basis element.  `division` is the basis prepared by
-    `Division` for a bound of at least morder.bound(elem), for a caller that
-    divides many elements by one basis; it is built here when absent."""
-    if division is None:
-        division = Division(field, basis, morder, leads, morder.bound(elem))
+    {shift: coeff} per basis element."""
+    division = Division(field, basis, morder, leads, morder.bound(elem))
     terms = [(division.rank(term), *term, c) for term, c in elem.items()]
     sparse, remainder = division.reduce([(terms, None, field.one)])
     quotients = [{} for _ in basis]

@@ -16,7 +16,6 @@ from .graphs import (
     TermOrder,
     _boundary,
     bfs_term_order,
-    divisor_sub,
     divisor_max,
     neighbor_lists,
     zero_divisor,
@@ -24,12 +23,8 @@ from .graphs import (
 from .poly import (
     Division,
     add_into,
-    division_normal_form,
     format_poly,
-    leading_monomial,
     lift,
-    poly_sub,
-    poly_term_mul,
     ring_module_order,
 )
 
@@ -88,34 +83,20 @@ def initial_ideal(g: PointedGraph):
     return [b.lead for b in groebner_basis(g)]
 
 
-def spolynomial(field, f, h, order):
-    lf, lh = leading_monomial(f, order), leading_monomial(h, order)
-    gamma = divisor_max(lf, lh)
-    tf = poly_term_mul(field, f, divisor_sub(gamma, lf), field.inv(f[lf]))
-    th = poly_term_mul(field, h, divisor_sub(gamma, lh), field.inv(h[lh]))
-    return poly_sub(field, tf, th)
-
-
 def buchberger_check(gens, order, field=None) -> bool:
     """True iff every S-polynomial of the list reduces to zero."""
     if field is None:
         field = PrimeField()
-    polys = [generator_poly(field, p) for p in gens]
     # divide in R as a rank-one free module, with the basis lifted and
     # prepared once; the order is graded, so an S-polynomial's degree is at
     # most twice the largest lead degree
     morder = ring_module_order(order)
-    basis = [lift(p) for p in polys]
+    basis = [lift(generator_poly(field, p)) for p in gens]
     leads = [morder.leading_term(b) for b in basis]
     bound = 2 * max((sum(e) for _, e in leads), default=0)
     division = Division(field, basis, morder, leads, bound)
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            s = spolynomial(field, polys[i], polys[j], order)
-            _, rem = division_normal_form(field, lift(s), basis, morder, leads, division)
-            if rem:
-                return False
-    return True
+    return not any(division.spair(i, j, divisor_max(leads[i][1], leads[j][1]))[1]
+                   for i, j in itertools.combinations(range(len(basis)), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,14 @@ from toppling.graphs import (
     zero_divisor,
 )
 from toppling.oracle import NotGroebner, OracleError, SchreyerResolution
-from toppling.poly import add_into, lift, monomial_divides, poly_sub, ring_module_order
+from toppling.poly import (
+    add_into,
+    division_normal_form,
+    lift,
+    monomial_divides,
+    poly_sub,
+    ring_module_order,
+)
 from toppling.resolution import generator_poly
 
 
@@ -267,6 +274,26 @@ def module_term_mul(field, elem, exps, scalar):
     """Multiply a free-module element by scalar * x^exps."""
     return {(i, divisor_add(e, exps)): field.mul(c, scalar)
             for (i, e), c in elem.items()}
+
+
+def reference_buchberger_check(gens, order, field):
+    """Buchberger's criterion by whole S-polynomials: each pair's two
+    elements, led under the TermOrder's own key, shifted to gamma, scaled to
+    monic leads and subtracted, then divided by the list."""
+    morder = ring_module_order(order)
+    basis = [lift(generator_poly(field, p)) for p in gens]
+    leads = [max(b, key=lambda term: order.monomial_key(term[1])) for b in basis]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            gm = divisor_max(leads[i][1], leads[j][1])
+            spoly = poly_sub(field, module_term_mul(field, basis[i], divisor_sub(gm, leads[i][1]),
+                                                    field.inv(basis[i][leads[i]])),
+                             module_term_mul(field, basis[j], divisor_sub(gm, leads[j][1]),
+                                             field.inv(basis[j][leads[j]])))
+            _, rem = division_normal_form(field, spoly, basis, morder, leads)
+            if rem:
+                return False
+    return True
 
 
 def reference_division_normal_form(field, elem, basis, morder, leads):

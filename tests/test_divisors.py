@@ -280,6 +280,20 @@ class TestBadInput:
         with pytest.raises(DivisorError, match=f"divisor has {len(d)} entries"):
             fn(c4(), 0, d)
 
+    @pytest.mark.parametrize("d1, d2", [((1,), (0, 0, 0, 0)), ((0,), (0, 0, 0, 0)),
+                                        ((0, 0, 0, 0), (0, 0, 0, 0, 1))])
+    def test_linearly_equivalent_wrong_length(self, d1, d2):
+        # checked before the degree comparison, whatever the degrees
+        bad = d1 if len(d1) != 4 else d2
+        with pytest.raises(DivisorError, match=f"divisor has {len(bad)} entries"):
+            linearly_equivalent(c4(), d1, d2)
+
+    @pytest.mark.parametrize("d", [(-1, 0, 0), (0, 0, 0), (1, 0, 0, 0, 0)])
+    def test_linear_system_wrong_length(self, d):
+        # checked before the negative-degree shortcut
+        with pytest.raises(DivisorError, match=f"divisor has {len(d)} entries"):
+            linear_system(c4(), d)
+
     @pytest.mark.parametrize("v", [-1, 3, 5])
     def test_fire_set_vertex_out_of_range(self, v):
         # -1 would index vertex 3 of K3 from the end

@@ -90,6 +90,24 @@ def test_tracer_names_resolve():
     assert unders <= set(tracing.NAME_ID)
 
 
+def test_readme_api_names_resolve():
+    # every backticked name in README's paragraph on the public API for the
+    # paper's definitions is a function of its module; a bare name takes the
+    # module of the last dotted name before it
+    readme = (SRC.parent.parent / "README.md").read_text()
+    start = readme.index("Public API for the paper's definitions")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    names = re.findall(r"`([\w.]+)`", paragraph)
+    assert names and "." in names[0]
+    missing, module = [], None
+    for name in names:
+        if "." in name:
+            module, name = name.rsplit(".", 1)
+        if not callable(getattr(importlib.import_module(f"toppling.{module}"), name, None)):
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
 TRACED_ROUND = """
 import importlib.util, json, sys
 src, bench, graph_file = sys.argv[1:]

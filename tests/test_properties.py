@@ -23,7 +23,6 @@ from toppling.flags import (
 from toppling.graphs import bfs_term_order, build_graph
 from toppling.oracle import brute_force_class_count
 from toppling.poly import (
-    leading_monomial,
     monomial_divides,
     poly_add,
     poly_division,
@@ -182,7 +181,7 @@ class TestDivision:
         p = poly_sub(field, {a: field.one}, {b: field.one})
         quots, rem = poly_division(field, p, divisors, order)
         # no remainder term is divisible by any leading monomial
-        leads = [leading_monomial(d, order) for d in divisors]
+        leads = [max(d, key=order.monomial_key) for d in divisors]
         for e in rem:
             assert not any(monomial_divides(lm, e) for lm in leads)
         # p == sum quot_i * divisor_i + rem

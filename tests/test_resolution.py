@@ -13,6 +13,7 @@ from conftest import (
     grid_2x3,
     path,
     per_flag_pic_table,
+    reference_buchberger_check,
     reference_merge_differentials,
     theta,
 )
@@ -110,6 +111,22 @@ class TestBuchberger:
         order = bfs_term_order(g)
         gens = groebner_basis(g)
         assert buchberger_check(gens, order, get_field("rational"))
+
+    @pytest.mark.parametrize("i", range(len(corpus())))
+    def test_same_answer_as_reference(self, i):
+        # the S-pair division of Division.spair against whole S-polynomials,
+        # on the full basis and on each basis with one element dropped
+        n, edges = corpus()[i]
+        g = build_graph(n, list(edges), 0)
+        order = bfs_term_order(g)
+        gens = groebner_basis(g)
+        for field in (get_field("prime"), get_field("rational")):
+            assert buchberger_check(gens, order, field)
+            assert reference_buchberger_check(gens, order, field)
+            for drop in range(len(gens)):
+                sub = gens[:drop] + gens[drop + 1:]
+                assert (buchberger_check(sub, order, field)
+                        == reference_buchberger_check(sub, order, field))
 
 
 class TestBuildResolution:
