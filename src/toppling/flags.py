@@ -560,9 +560,16 @@ def _merge_terms(g: PointedGraph, uc: ConnectedFlag):
         climb[a] |= climb[b] | up[b] | down[b]
     for a, b in adjacent:
         if not up[a] & anc[b]:
-            row, parity = _merge_target(parts, keys, up, down, a, b, basis)
-            yield (a, b, row, _boundary(g, parts[b], parts[a]),
-                   _front_sign(a + 1, b + 1) * parity, False)
+            # fusing consecutive parts drops U_{a+1}: the fused orientation is
+            # G(drop), so a drop in S_{k-1} is the least flag of its class,
+            # peeled in part order; the sign is then (-1)^a
+            row = basis.row(uc.masks[:a] + uc.masks[b:]) if b == a + 1 else None
+            if row is not None:
+                sign = -1 if a & 1 else 1
+            else:
+                row, parity = _merge_target(parts, keys, up, down, a, b, basis)
+                sign = _front_sign(a + 1, b + 1) * parity
+            yield a, b, row, _boundary(g, parts[b], parts[a]), sign, False
     for b, a in adjacent:
         if not (up[a] | down[a] | climb[a]) & anc[b] and not climb[a] >> b & 1:
             row, parity = _merge_target(parts, keys, *_oriented(up, down, b + 1), a, b, basis)

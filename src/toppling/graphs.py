@@ -79,7 +79,7 @@ def build_graph(n, edges, q) -> PointedGraph:
     if n <= 0:
         raise EmptyGraph("graph must have at least one vertex")
     if not 0 <= q < n:
-        raise BadVertex(f"q={q} out of range for n={n}")
+        raise BadVertex(f"q={q + 1} out of range for n={n}")
     mult = [[0] * n for _ in range(n)]
     for edge in edges:
         if len(edge) == 2:
@@ -88,9 +88,9 @@ def build_graph(n, edges, q) -> PointedGraph:
         else:
             u, v, w = edge
         if not (0 <= u < n and 0 <= v < n):
-            raise BadVertex(f"edge ({u},{v}) out of range for n={n}")
+            raise BadVertex(f"edge ({u + 1},{v + 1}) out of range for n={n}")
         if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
+            raise LoopEdge(f"loop at vertex {u + 1}")
         if w < 1:
             raise GraphError(f"multiplicity {w} < 1")
         mult[u][v] += w

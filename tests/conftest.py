@@ -6,6 +6,10 @@ import pytest
 from toppling.divisors import PicClass, dhar_burn, fire_set, pic_class, q_reduce
 from toppling.flags import (
     LengthMismatch,
+    _front_sign,
+    _merge_target,
+    _oriented,
+    _part_graph,
     enumerate_minimal_flags,
     flag_divisor,
     merge_records,
@@ -14,6 +18,7 @@ from toppling.flags import (
 )
 from toppling.graphs import (
     Overlap,
+    _boundary,
     bfs_order,
     bfs_term_order,
     build_graph,
@@ -186,6 +191,28 @@ def reference_merge_differentials(g, field, bases, variants):
                 for col in into[rec.from_reversal]:
                     add_into(field, col, term)
     return out
+
+
+def reference_merge_terms(g, uc):
+    """`flags._merge_terms` with every kept merge searched: each one fused,
+    realigned and peeled by `_merge_target`, including the merges of two
+    consecutive parts inside G(U) that drop a chain level."""
+    parts, up, down, anc, adjacent = _part_graph(g, uc)
+    basis = enumerate_minimal_flags(g, uc.k - 1)
+    keys = [(p.bit_count() << g.n) - (p & -p) for p in parts]
+    climb = [0] * uc.k
+    for a, b in reversed(adjacent):
+        climb[a] |= climb[b] | up[b] | down[b]
+    for a, b in adjacent:
+        if not up[a] & anc[b]:
+            row, parity = _merge_target(parts, keys, up, down, a, b, basis)
+            yield (a, b, row, _boundary(g, parts[b], parts[a]),
+                   _front_sign(a + 1, b + 1) * parity, False)
+    for b, a in adjacent:
+        if not (up[a] | down[a] | climb[a]) & anc[b] and not climb[a] >> b & 1:
+            row, parity = _merge_target(parts, keys, *_oriented(up, down, b + 1), a, b, basis)
+            yield (a, b, row, _boundary(g, parts[b], parts[a]),
+                   _front_sign(a + 1, b + 1) * parity, True)
 
 
 def _compositions(total, parts):

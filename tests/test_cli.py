@@ -441,6 +441,13 @@ class TestExitCodes:
         ("z.json", '{"n": 4, "q": 1, "edges": [[1, 2, 0], [1, 3], [2, 4], [3, 4]]}',
          "multiplicity 0"),
         ("z.txt", "v 4\nq 1\ne 1 2 0\ne 1 3\ne 2 4\ne 3 4\n", "multiplicity 0"),
+        # vertices are named 1-based, as in the input
+        ("loop.txt", "v 3\nq 1\ne 1 2\ne 1 1\ne 2 3\n", "error: loop at vertex 1\n"),
+        ("edge.txt", "v 3\nq 1\ne 1 2\ne 1 9\ne 2 3\n",
+         "error: edge (1,9) out of range for n=3\n"),
+        ("q.txt", "v 3\nq 5\ne 1 2\ne 2 3\n", "error: q=5 out of range for n=3\n"),
+        ("q.json", '{"n": 3, "q": 0, "edges": [[1, 2], [2, 3]]}',
+         "error: q=0 out of range for n=3\n"),
     ])
     def test_bad_graph_values(self, tmp_path, capsys, name, body, named):
         p = tmp_path / name

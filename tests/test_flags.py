@@ -13,6 +13,7 @@ from conftest import (
     flag_sort_key,
     grid_2x3,
     path,
+    reference_merge_terms,
     scanned_unique_source,
     subset_key,
 )
@@ -663,8 +664,28 @@ class TestMergeSearch:
                             for r in merge_records(g, uc)} == kept
         assert min(rejected.values()) > 1000
 
+    def test_terms_match_reference(self, graph_corpus):
+        # reading a merge of consecutive parts off its drop changes no term
+        checked = 0
+        for g in [*corpus_and_families(graph_corpus), cycle(7), complete(6), grid_2x3()]:
+            for k in range(3, g.n + 1):
+                for uc in enumerate_minimal_flags(g, k):
+                    terms = list(flags._merge_terms(g, uc))
+                    assert terms == list(reference_merge_terms(g, uc))
+                    checked += len(terms)
+        assert checked > 1000
+
     def test_least_flag_by_rank_matches_peel(self, graph_corpus, monkeypatch):
-        # one peel per record, and each equals the subset_key peel
+        # one peel per merge whose target is not its dropped chain, and each
+        # equals the subset_key peel
+        searched = 0
+        for g in corpus_and_families(graph_corpus):
+            for k in range(3, g.n + 1):
+                basis = enumerate_minimal_flags(g, k - 1)
+                for uc in enumerate_minimal_flags(g, k):
+                    searched += sum(rev or b != a + 1 or
+                                    basis.flags[row].masks != uc.masks[:a] + uc.masks[b:]
+                                    for a, b, row, _, _, rev in reference_merge_terms(g, uc))
         peels = []
         real = flags._peel
 
@@ -674,7 +695,8 @@ class TestMergeSearch:
             return peels[-1][3]
         monkeypatch.setattr(flags, "_peel", spy)
         records = sum(1 for g in corpus_and_families(graph_corpus) for _ in records_of(g))
-        assert len(peels) == records > 1000
+        assert len(peels) == searched > 1000
+        assert records > searched
         for parts, live, arcs, (chain, order) in peels:
             # the fused-away part is dead: out of the rank, with no arc
             assert len(live) == len(parts) - 1
