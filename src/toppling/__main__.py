@@ -1,0 +1,8 @@
+"""`python -m toppling <verb> ...` runs the `toppling` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,7 +29,7 @@ class NegativeOffQ(DivisorError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PicClass:
     """A Picard class, keyed by its unique q-reduced representative.
 

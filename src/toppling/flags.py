@@ -4,9 +4,11 @@ contraction, o_j reversals, merges, incidence signs and theta exponents."""
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass
 
 from .graphs import (
@@ -228,29 +230,85 @@ def enumerate_all_connected_flags(g: PointedGraph, k):
     return out
 
 
+def _mask_array(n):
+    """An empty store for the vertex masks of an n-vertex graph: the
+    narrowest unsigned array type that holds n bits, or a list past 64, so
+    no mask is ever truncated."""
+    for code in "BHIQ":
+        if n <= 8 * array(code).itemsize:
+            return array(code)
+    return []
+
+
 class FlagBasis:
-    """Minimal representatives of k-flag classes of g, sorted by <_k, with
-    `row` finding a flag by the vertex masks of its chain."""
+    """S_k for one k, sorted by <_k, as a level of the forest that
+    drop_first makes of S_1, S_2, ...: heads[i] is the U_1 mask of flag i,
+    and the flags whose drop_first is row p of `lower` (S_{k-1}) are rows
+    offsets[p] to offsets[p + 1] - 1, in rank order of U_1.  S_1 and the
+    empty levels past n have no `lower`.  A flag's chain is its head and
+    then its parent's chain, so iteration and indexing make each
+    `ConnectedFlag` on demand, and `row` finds a flag by the vertex masks of
+    its chain."""
 
-    __slots__ = ("flags", "_rows", "__weakref__")
+    __slots__ = ("heads", "offsets", "lower", "_rows", "__weakref__")
 
-    def __init__(self, flags):
-        self.flags = tuple(flags)
-        self._rows = None       # chain masks -> position, built on the first lookup
+    def __init__(self, heads, offsets=None, lower=None):
+        self.heads = heads
+        self.offsets = offsets
+        self.lower = lower
+        self._rows = None       # chain masks -> row, built on the first lookup
+
+    def runs(self):
+        """(p, start, stop) for each row p of `lower`: the flags whose
+        drop_first is row p are rows start to stop - 1."""
+        return ((p, a, b) for p, (a, b) in enumerate(itertools.pairwise(self.offsets)))
 
     def row(self, chain):
         """The position of the flag whose chain has the vertex masks `chain`
         (a tuple of ints), or None if no flag here has them."""
+        return self.index().get(chain)
+
+    def index(self):
+        """The index of `row`, from each flag's chain masks to its row,
+        built on the first call and kept on the level: once it is built,
+        iteration reads each chain off its keys."""
         if self._rows is None:
-            # keyed by each flag's own masks tuple, so the index holds no new key
-            self._rows = {f.masks: i for i, f in enumerate(self.flags)}
-        return self._rows.get(chain)
+            self._rows = {c: i for i, c in enumerate(self._chains())}
+        return self._rows
+
+    def _chains(self):
+        """The vertex masks of each flag's chain, in order: the keys of
+        the index once it is built, so the walk down to S_1 stops at the
+        first level that has one."""
+        if self._rows is not None:
+            return iter(self._rows)
+        heads = self.heads
+        if self.lower is None:
+            return ((m,) for m in heads)
+        return ((heads[i],) + tail
+                for tail, (a, b) in zip(self.lower._chains(), itertools.pairwise(self.offsets))
+                for i in range(a, b))
+
+    @property
+    def flags(self):
+        """Every flag, as a tuple made afresh on each call."""
+        return tuple(self)
+
+    def __getitem__(self, i):
+        i = range(len(self.heads))[i]       # from the end when negative; IndexError past it
+        chain, level = [], self
+        while level.lower is not None:
+            chain.append(level.heads[i])
+            i = bisect.bisect_right(level.offsets, i) - 1
+            level = level.lower
+        chain.append(level.heads[i])
+        return ConnectedFlag(tuple(chain))
 
     def __len__(self):
-        return len(self.flags)
+        return len(self.heads)
 
     def __iter__(self):
-        return iter(self.flags)
+        return map(ConnectedFlag, self._chains())
 
 
 def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
@@ -260,39 +318,49 @@ def enumerate_minimal_flags(g: PointedGraph, k) -> FlagBasis:
     if k in g._cache:
         return g._cache[k]
     if k <= 2:
-        flags = enumerate_all_connected_flags(g, k)
+        heads = _mask_array(g.n)
+        heads.extend(uc.masks[0] for uc in enumerate_all_connected_flags(g, k))
+        if k == 1:
+            basis = FlagBasis(heads)
+        else:
+            # the root S_1 = {(V,)} is made here, not asked for by name, so
+            # each level is enumerated only where it is named
+            root = _mask_array(g.n)
+            root.append((1 << g.n) - 1)
+            basis = FlagBasis(heads, array("I", (0, len(heads))), FlagBasis(root))
     elif k > g.n:
-        flags = []
+        basis = FlagBasis(_mask_array(g.n))
     else:
-        flags = _drop_rule_flags(g, enumerate_minimal_flags(g, k - 1))
-    basis = FlagBasis(flags)
+        lower = enumerate_minimal_flags(g, k - 1)
+        basis = FlagBasis(*_drop_rule_flags(g, lower), lower)
     g._cache[k] = basis
     return basis
 
 
 def _drop_rule_flags(g: PointedGraph, lower: FlagBasis):
-    """S_k from S_{k-1}, in <_k order.  U = (u, W) for W in S_{k-1} and u a
-    split of W_1 has drop_first(U) = W, and drop_second(U) = (x, W_2, ...)
-    with x = u if W_2 - u is connected, else u | (W_2 - W_1).  The two drops
-    share W_2 onward, so W <_{k-1} drop_second(U) iff rank(W_1) < rank(x).
-    The flags of S_{k-1} with one tail W_2, ... are consecutive, so x is
-    looked up among the first sets of W's run.  <_k compares U_1 last, and
-    the splits come in rank order, so the result needs no sort."""
+    """(heads, offsets) of S_k from S_{k-1}, in <_k order.  U = (u, W) for
+    W in S_{k-1} and u a split of W_1 has drop_first(U) = W, and
+    drop_second(U) = (x, W_2, ...) with x = u if W_2 - u is connected, else
+    u | (W_2 - W_1).  The two drops share W_2 onward, so W <_{k-1}
+    drop_second(U) iff rank(W_1) < rank(x).  The flags of S_{k-1} with one
+    tail W_2, ... are the children of one row of S_{k-2}, so x is looked
+    up among the heads of W's run.  <_k compares U_1 last, and the splits
+    come in rank order, so the children of each W come out sorted."""
     rank = functools.cache(functools.partial(mask_rank, g.n))
-    out = []
-    for tail, run in itertools.groupby(lower, key=lambda w: w.masks[1:]):
-        run = list(run)
-        heads = {w.masks[0] for w in run}
-        w2 = tail[0]
-        for w in run:
-            w1 = w.masks[0]
+    heads, offsets = _mask_array(g.n), array("I")
+    for p, a, b in lower.runs():
+        run = lower.heads[a:b]
+        firsts, w2 = set(run), lower.lower.heads[p]
+        for w1 in run:
+            offsets.append(len(heads))
             r1 = rank(w1)
             above = w2 & ~w1
             for u in _split_masks(g, w1):
                 x = u if mask_connected(g, w2 & ~u) else u | above
-                if x in heads and rank(x) > r1:
-                    out.append(ConnectedFlag((u,) + w.masks))
-    return out
+                if x in firsts and rank(x) > r1:
+                    heads.append(u)
+    offsets.append(len(heads))
+    return heads, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +649,8 @@ def merge_records(g: PointedGraph, uc: ConnectedFlag):
     """All members of B(U) with their (i, j) provenance, read off
     `_merge_terms`; I(U) is the i < j sublist.  Needs uc in S_k with
     k >= 3."""
-    flags = enumerate_minimal_flags(g, uc.k - 1).flags
-    return [MergeRecord(a + 1, b + 1, flags[row], row, rev, _front_sign(a + 1, b + 1) * sign)
+    basis = enumerate_minimal_flags(g, uc.k - 1)
+    return [MergeRecord(a + 1, b + 1, basis[row], row, rev, _front_sign(a + 1, b + 1) * sign)
             for a, b, row, _, sign, rev in _merge_terms(g, uc)]
 
 

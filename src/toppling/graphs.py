@@ -46,7 +46,8 @@ class PointedGraph:
     n: int
     mult: tuple[tuple[int, ...], ...]  # symmetric, zero diagonal
     q: int
-    # computed once per object: flag bases by k, BFS orders by
+    # computed once per object: flag bases by k (each S_k a FlagBasis of
+    # flat mask arrays, holding no flag objects), BFS orders by
     # ("bfs", start), the adjacent pairs by "pairs", neighbour masks by
     # "neighbors", neighbour lists by "adjacency", the set-firing moves of
     # linear_system by "moves", and per vertex mask its connectivity
@@ -80,7 +81,7 @@ def build_graph(n, edges, q) -> PointedGraph:
         raise EmptyGraph("graph must have at least one vertex")
     if not 0 <= q < n:
         raise BadVertex(f"q={q + 1} out of range for n={n}")
-    mult = [[0] * n for _ in range(n)]
+    checked = []
     for edge in edges:
         if len(edge) == 2:
             u, v = edge
@@ -93,12 +94,36 @@ def build_graph(n, edges, q) -> PointedGraph:
             raise LoopEdge(f"loop at vertex {u + 1}")
         if w < 1:
             raise GraphError(f"multiplicity {w} < 1")
+        checked.append((u, v, w))
+    # connectivity is settled on the edge list, before the n x n matrix is
+    # allocated: a connected graph has at least n - 1 edges, and a
+    # union-find over them joins every vertex into one component
+    if len(checked) < n - 1 or _components(n, checked) > 1:
+        raise Disconnected("graph is not connected")
+    mult = [[0] * n for _ in range(n)]
+    for u, v, w in checked:
         mult[u][v] += w
         mult[v][u] += w
-    g = PointedGraph(n, tuple(tuple(row) for row in mult), q)
-    if None in bfs_distances(g, q):
-        raise Disconnected("graph is not connected")
-    return g
+    return PointedGraph(n, tuple(tuple(row) for row in mult), q)
+
+
+def _components(n, edges):
+    """The number of connected components of the n vertices under the
+    (u, v, w) edges, by a union-find with path halving."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    count = n
+    for u, v, _ in edges:
+        u, v = find(u), find(v)
+        if u != v:
+            root[u] = v
+            count -= 1
+    return count
 
 
 def neighbor_masks(g: PointedGraph):

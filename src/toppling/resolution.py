@@ -158,6 +158,9 @@ def _merge_differentials(g, field, bases, variants):
     for t in range(1, len(bases)):
         for diffs in out:
             diffs.append([])
+        # the walk reads each chain off the level's index, which the next
+        # level's merges look their targets up in
+        bases[t].index()
         for uc in bases[t]:
             cols = [{} for _ in variants]
             for diffs, col in zip(out, cols):
@@ -255,19 +258,19 @@ def _pic_levels(g: PointedGraph):
     yields r_W - D(A, V - U_2) + D(V - A, A).  Otherwise the start is
     r_W + D(A, U_1) itself.  Either start is effective off q and lies in
     the class of D(U), which holds one q-reduced divisor, so the firing
-    stage of q-reduction alone finds the same result from both.  Only the
-    reduced divisors of one level are held at a time."""
+    stage of q-reduction alone finds the same result from both.  The walk
+    runs over each level's parent rows, and only the reduced divisors of one
+    level are held at a time, in a list indexed by row."""
     nbrs = neighbor_lists(g)
-    lower = {((1 << g.n) - 1,): zero_divisor(g.n)}   # masks -> reduced divisor
+    lower = [zero_divisor(g.n)]     # row of S_{k-1} -> reduced divisor
     for k in range(2, g.n + 1):
-        reps = {}
-        # the flags of S_k that extend one W come out consecutively, so W
-        # is looked up once per run
-        for tail, run in itertools.groupby(enumerate_minimal_flags(g, k),
-                                           key=lambda uc: uc.masks[1:]):
-            parent, u2 = lower[tail], tail[0]
-            for uc in run:
-                u1 = uc.masks[0]
+        basis = enumerate_minimal_flags(g, k)
+        heads, u2s = basis.heads, basis.lower.heads
+        reps = []
+        for p, start, stop in basis.runs():
+            parent, u2 = lower[p], u2s[p]
+            for i in range(start, stop):
+                u1 = heads[i]
                 a = rest = u2 ^ u1
                 d = list(parent)
                 while rest:             # fire A once on r_W + D(A, U_1)
@@ -281,8 +284,8 @@ def _pic_levels(g: PointedGraph):
                     if d[v] < 0:
                         d = list(map(add, parent, _boundary(g, a, u1)))
                         break
-                reps[uc.masks] = _reduce_effective(g, g.q, d)
-        yield reps.values()
+                reps.append(_reduce_effective(g, g.q, d))
+        yield reps
         lower = reps
 
 
@@ -324,16 +327,19 @@ def _check_lead_terms(res: FreeResolution):
     morder = ring_module_order(res.order)
     for t, (basis, cols) in enumerate(zip(res.bases, res.diffs)):
         leads = []
-        for c, uc in enumerate(basis):
-            u1, u2 = uc.masks[:2]
-            want = (res.bases[t - 1].row(uc.masks[1:]) if t else 0, _boundary(g, u2 ^ u1, u1))
-            if not cols[c]:
-                raise LeadingTermMismatch(f"phi_{t} column {c} is zero")
-            r, e = morder.leading_term(cols[c])
-            if (r, e) != want:
-                raise LeadingTermMismatch(
-                    f"phi_{t} column {c}: lead ({r},{e}) != ({want[0]},{want[1]})")
-            leads.append(want)
+        heads, u2s = basis.heads, basis.lower.heads
+        # the parent of a flag of S_2 is row 0 of S_1, and row 0 of R for t = 0
+        for p, start, stop in basis.runs():
+            for c in range(start, stop):
+                u1 = heads[c]
+                want = (p, _boundary(g, u2s[p] ^ u1, u1))
+                if not cols[c]:
+                    raise LeadingTermMismatch(f"phi_{t} column {c} is zero")
+                r, e = morder.leading_term(cols[c])
+                if (r, e) != want:
+                    raise LeadingTermMismatch(
+                        f"phi_{t} column {c}: lead ({r},{e}) != ({want[0]},{want[1]})")
+                leads.append(want)
         morder = morder.pulled_back(leads)
 
 
@@ -351,7 +357,7 @@ def _check_degrees(resolutions):
     first = resolutions[0]
     g, q = first.g, first.g.q
     # reps[t][r] = class of basis element r of F_{t-1}; F_{-1} = R has class 0
-    reps = [[zero_divisor(g.n)], *map(list, _pic_levels(g))]
+    reps = [[zero_divisor(g.n)], *_pic_levels(g)]
     for t, cols in enumerate(first.diffs):
         for c in range(len(cols)):
             for r, e in dict.fromkeys(itertools.chain.from_iterable(

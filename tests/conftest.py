@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from collections import Counter, deque
 
@@ -5,13 +7,17 @@ import pytest
 
 from toppling.divisors import PicClass, dhar_burn, fire_set, pic_class, q_reduce
 from toppling.flags import (
+    ConnectedFlag,
     LengthMismatch,
     _front_sign,
     _merge_target,
     _oriented,
     _part_graph,
+    _split_masks,
+    enumerate_all_connected_flags,
     enumerate_minimal_flags,
     flag_divisor,
+    mask_rank,
     merge_records,
     record_sign,
     record_theta,
@@ -25,6 +31,7 @@ from toppling.graphs import (
     divisor_add,
     divisor_max,
     divisor_sub,
+    mask_connected,
     total_orientations,
     zero_divisor,
 )
@@ -168,6 +175,36 @@ def per_flag_pic_table(g):
         table.update((k - 1, pic_class(g, flag_divisor(g, uc)))
                      for uc in enumerate_minimal_flags(g, k))
     return dict(table)
+
+
+def reference_drop_rule_flags(g, lower):
+    """S_k from the list of flags S_{k-1}, in <_k order, one ConnectedFlag
+    per member: the drop rule over runs of S_{k-1} grouped by their tail
+    W_2, ..., with each U built as the tuple (u,) + W.masks."""
+    rank = functools.cache(functools.partial(mask_rank, g.n))
+    out = []
+    for tail, run in itertools.groupby(lower, key=lambda w: w.masks[1:]):
+        run = list(run)
+        heads = {w.masks[0] for w in run}
+        w2 = tail[0]
+        for w in run:
+            w1 = w.masks[0]
+            r1 = rank(w1)
+            above = w2 & ~w1
+            for u in _split_masks(g, w1):
+                x = u if mask_connected(g, w2 & ~u) else u | above
+                if x in heads and rank(x) > r1:
+                    out.append(ConnectedFlag((u,) + w.masks))
+    return out
+
+
+def reference_levels(g):
+    """S_2, ..., S_n as lists of flags: every connected 2-flag, then each
+    level by `reference_drop_rule_flags` from the one below."""
+    levels = [enumerate_all_connected_flags(g, 2)]
+    while len(levels) < g.n - 1:
+        levels.append(reference_drop_rule_flags(g, levels[-1]))
+    return levels
 
 
 def reference_merge_differentials(g, field, bases, variants):

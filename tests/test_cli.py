@@ -397,6 +397,30 @@ class TestParserReuse:
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
+class TestModuleEntry:
+    def test_python_m_toppling_matches_cli_module(self, c4_file, tmp_path):
+        # `python -m toppling` prints and exits as `python -m toppling.cli`,
+        # on success, on bad input and on a graph too large to allocate
+        huge = tmp_path / "huge.txt"
+        huge.write_text("v 100000\nq 1\ne 1 2\n")
+        calls = [
+            ["betti", "--graph", c4_file, "--grading", "Pic"],
+            ["flags", "--graph", c4_file, "--k", "3"],
+            ["betti", "--graph", c4_file, "--grading", "Q"],
+            ["betti", "--graph", str(huge)],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for argv in calls:
+            package, module = (subprocess.run([sys.executable, "-m", name, *argv],
+                                              capture_output=True, text=True, env=env,
+                                              timeout=60)
+                               for name in ("toppling", "toppling.cli"))
+            assert (package.returncode, package.stdout, package.stderr) == \
+                (module.returncode, module.stdout, module.stderr)
+        assert module.returncode == 1
+        assert module.stderr == "error: graph is not connected\n"
+
+
 class TestExitCodes:
     def test_merge_off_basis_exit_code(self, c4_file, capsys, monkeypatch):
         # a merged flag outside S_{k-1} is a failure of the closed form, not

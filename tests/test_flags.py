@@ -13,6 +13,7 @@ from conftest import (
     flag_sort_key,
     grid_2x3,
     path,
+    reference_levels,
     reference_merge_terms,
     scanned_unique_source,
     subset_key,
@@ -639,6 +640,63 @@ class TestDropRuleGenerator:
         assert min(checked.values()) > 1000
 
 
+def basis_graphs(graph_corpus):
+    """Every corpus graph at every base vertex, then C6, C7, K5, K6 and the
+    2x3 grid."""
+    graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
+    return graphs + [cycle(6), cycle(7), complete(5), complete(6), grid_2x3()]
+
+
+class TestFlagBasis:
+    def test_levels_match_tuple_reference(self, graph_corpus):
+        # each level against one ConnectedFlag per member grown by tuples:
+        # the same flags in the same order, by iteration, by index and by row
+        checked = 0
+        for g in basis_graphs(graph_corpus):
+            for k, ref in enumerate(reference_levels(g), 2):
+                basis = enumerate_minimal_flags(g, k)
+                assert list(basis) == ref
+                assert len(basis) == len(ref)
+                for i, uc in enumerate(ref):
+                    assert basis[i] == uc
+                    assert basis.row(uc.masks) == i
+                checked += len(ref)
+        assert checked > 5000
+
+    def test_row_rejects_non_members(self, graph_corpus):
+        # every connected k-flag outside S_k, and each member's chain one
+        # level short, one level long and with U_k other than V
+        outside = 0
+        for g in basis_graphs(graph_corpus):
+            for k in range(1, g.n + 2):
+                basis = enumerate_minimal_flags(g, k)
+                members = set(basis)
+                for uc in enumerate_all_connected_flags(g, k):
+                    if uc not in members:
+                        assert basis.row(uc.masks) is None
+                        outside += 1
+                for uc in members:
+                    masks = uc.masks
+                    assert basis.row(masks[1:]) is None
+                    assert basis.row((masks[0],) + masks) is None
+                    assert basis.row(masks[:-1] + (masks[-1] >> 1,)) is None
+        assert outside > 1000
+
+    def test_index_from_the_end_and_past_it(self):
+        basis = enumerate_minimal_flags(complete(5), 3)
+        assert basis[-1] == basis.flags[-1]
+        assert basis[-len(basis)] == basis.flags[0]
+        for i in (len(basis), -len(basis) - 1):
+            with pytest.raises(IndexError):
+                basis[i]
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 64, 65, 200])
+    def test_mask_store_keeps_every_bit(self, n):
+        store = flags._mask_array(n)
+        store.append((1 << n) - 1)
+        assert store[0] == (1 << n) - 1
+
+
 class TestMergeSearch:
     def test_detours_match_acyclic_quotients(self, graph_corpus):
         # every merge attempt of both kinds is kept iff fusing its parts
@@ -684,7 +742,7 @@ class TestMergeSearch:
                 basis = enumerate_minimal_flags(g, k - 1)
                 for uc in enumerate_minimal_flags(g, k):
                     searched += sum(rev or b != a + 1 or
-                                    basis.flags[row].masks != uc.masks[:a] + uc.masks[b:]
+                                    basis[row].masks != uc.masks[:a] + uc.masks[b:]
                                     for a, b, row, _, _, rev in reference_merge_terms(g, uc))
         peels = []
         real = flags._peel
@@ -804,10 +862,11 @@ class TestMaskPath:
         checked = 0
         graphs = [build_graph(n, edges, q) for n, edges in graph_corpus for q in range(n)]
         for g in [*graphs, complete(6), grid_2x3()]:
+            levels = {k: enumerate_minimal_flags(g, k).flags for k in range(2, g.n)}
             for uc, rec in records_of(g):
                 lower = enumerate_minimal_flags(g, uc.k - 1)
-                assert lower.flags[rec.row] == rec.flag
-                assert lower.flags.index(rec.flag) == rec.row
+                assert lower[rec.row] == rec.flag
+                assert levels[uc.k - 1].index(rec.flag) == rec.row
                 assert lower.row(rec.flag.masks) == rec.row
                 checked += 1
         assert checked > 10000

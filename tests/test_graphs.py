@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from conftest import (
@@ -49,6 +51,20 @@ class TestBuildGraph:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             build_graph(3, [(0, 1)], 0)
+
+    def test_disconnected_rejected_before_the_matrix(self):
+        # too few edges for a spanning tree, then enough edges in two
+        # components: both are caught on the edge list, not on an n x n matrix
+        two_paths = [(i, i + 1) for i in range(1499)] + [(i, i + 1) for i in range(1500, 2999)]
+        for edges in ([(0, 1)], two_paths + [(0, 1)]):
+            tracemalloc.start()
+            try:
+                with pytest.raises(Disconnected, match="graph is not connected"):
+                    build_graph(3000, edges, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_loop(self):
         with pytest.raises(LoopEdge):

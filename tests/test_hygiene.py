@@ -189,7 +189,7 @@ LAYERS = ("graphs", "fields", "poly", "flags", "divisors", "resolution",
 
 
 def test_module_layers():
-    assert {path.stem for path in SRC.glob("*.py")} == {"__init__", *LAYERS}
+    assert {path.stem for path in SRC.glob("*.py")} == {"__init__", "__main__", *LAYERS}
     upward = []
     for rank, name in enumerate(LAYERS):
         tree = ast.parse((SRC / f"{name}.py").read_text())

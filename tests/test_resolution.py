@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 from collections import Counter
 from dataclasses import replace
@@ -21,7 +22,13 @@ from toppling import divisors, resolution
 from toppling.cli import main
 from toppling.fields import get_field
 from toppling.divisors import q_reduce
-from toppling.flags import drop_first, enumerate_minimal_flags, flag_divisor
+from toppling.flags import (
+    ConnectedFlag,
+    FlagBasis,
+    drop_first,
+    enumerate_minimal_flags,
+    flag_divisor,
+)
 from toppling.graphs import bfs_term_order, build_graph
 from toppling.poly import add_into, monomial_divides
 from toppling.resolution import (
@@ -352,6 +359,21 @@ class TestBetti:
             betti_table(g)
             assert [enumerate_minimal_flags(g, k)._rows for k in range(1, g.n + 1)] == \
                 [None] * g.n
+
+    def test_cache_holds_no_flag_objects(self):
+        # S_k is kept as arrays of masks: nothing reachable from the graph's
+        # cache after a table is a ConnectedFlag
+        g = complete(6)
+        betti_table(g)
+        seen, todo = set(), [g._cache]
+        while todo:
+            obj = todo.pop()
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                assert not isinstance(obj, ConnectedFlag)
+                if isinstance(obj, (dict, list, tuple, set, frozenset, FlagBasis)):
+                    todo += gc.get_referents(obj)
+        assert len(seen) > 100
 
     def test_pic_matches_per_flag_reduction(self, graph_corpus):
         # every corpus graph at every base vertex, C6, K5, K6 and the 2x3
